@@ -6,14 +6,21 @@
 //! partition. Cluster distance is `1 − similarity` under the chosen
 //! [`Linkage`].
 //!
-//! Complexity is O(g² · n) in the number of starting groups `g` for the
-//! pairwise linkages (via Lance–Williams updates) — entirely adequate for
-//! the paper's 454-page corpus and our benchmark sweeps.
+//! Cost, for `g` starting groups over `n` items:
+//!
+//! * **Centroid** linkage caches the g(g−1)/2 centroid similarities and,
+//!   after each merge, re-evaluates only the merged cluster's g−2 pairs:
+//!   O(g²) similarity evaluations in all, plus an O(g²) scan of cached
+//!   values per merge (O(g³) comparisons). Centroid linkage is not
+//!   reducible, so the nearest-neighbour-chain speed-up does not apply.
+//! * **Single, complete and average** linkage build the group distance
+//!   matrix from O(n²) item similarities, then merge by O(g²) scans and
+//!   O(g) Lance–Williams row updates: O(g³) comparisons in all.
 
 use crate::partition::Partition;
 use crate::resume::HacCheckpointer;
 use crate::space::ClusterSpace;
-use cafc_exec::{par_map, par_map_obs, ExecPolicy};
+use cafc_exec::{par_map, par_map_obs, par_map_slice, ExecPolicy};
 use cafc_obs::Obs;
 use cafc_store::StoreError;
 
@@ -65,11 +72,16 @@ where
 /// Run HAC under an explicit execution policy.
 ///
 /// Identical semantics (and bit-identical output) to [`hac`], which
-/// delegates here with [`ExecPolicy::Serial`]. The O(g²) pairwise distance
-/// matrix and the per-step closest-pair scans fan out by matrix row;
-/// per-row partial argmins are merged in row order, so ties resolve to the
-/// lexicographically smallest pair for every policy — exactly the serial
-/// scan order.
+/// delegates here with [`ExecPolicy::Serial`]. What fans out, per linkage:
+///
+/// * **Centroid:** the initial g(g−1)/2 similarity triangle (by row) and
+///   each merge's g−2 refreshed similarities. The closest-pair scan over
+///   the cached values is serial and row-major.
+/// * **Pairwise:** the distance matrix and each step's closest-pair scan,
+///   by matrix row, with per-row partial argmins merged in row order.
+///
+/// Either way ties resolve to the lexicographically smallest pair for
+/// every policy — exactly the serial scan order.
 pub fn hac_exec<S>(
     space: &S,
     initial: &[Vec<usize>],
@@ -89,8 +101,10 @@ where
 /// delegates here with [`Obs::disabled`]. Emits, when `obs` has a sink:
 /// counter `hac.merges` (one per merge step), gauges `hac.initial_groups`
 /// / `hac.final_groups`, and a `hac.merge_scan` span aggregating the
-/// closest-pair scans (plus `hac.dissimilarity_matrix` for the pairwise
-/// linkages' O(g²) initialization).
+/// closest-pair scans. Centroid linkage adds counter
+/// `hac.similarity_evals` (centroid similarities evaluated); the pairwise
+/// linkages add span `hac.dissimilarity_matrix` for their O(g²)
+/// initialization.
 pub fn hac_obs<S>(
     space: &S,
     initial: &[Vec<usize>],
@@ -158,6 +172,13 @@ where
 
 /// Centroid linkage: merge the pair with the most similar centroids and
 /// recompute the merged centroid.
+///
+/// The upper triangle of centroid similarities is cached: `sims[i][j-i-1]`
+/// holds `centroid_similarity(&centroids[i], &centroids[j])` for `i < j`.
+/// A merge of `(bi, bj)` changes only `centroids[bi]`, so it drops row and
+/// column `bj` and refills row `bi` — every other cached value is exactly
+/// what a fresh evaluation would return, and the scan over the cache picks
+/// the same pair a full rescan would.
 #[allow(clippy::too_many_arguments)]
 fn hac_centroid<S>(
     space: &S,
@@ -172,8 +193,15 @@ where
     S: ClusterSpace + Sync,
     S::Centroid: Send + Sync,
 {
-    let mut centroids: Vec<S::Centroid> =
-        par_map(policy, groups.len(), |g| space.centroid(&groups[g]));
+    let g = groups.len();
+    let mut centroids: Vec<S::Centroid> = par_map(policy, g, |i| space.centroid(&groups[i]));
+    let mut sims: Vec<Vec<f64>> = par_map(policy, g, |i| {
+        ((i + 1)..g)
+            .map(|j| space.centroid_similarity(&centroids[i], &centroids[j]))
+            .collect()
+    });
+    // Counted locally and emitted once: `Obs` takes a lock per call.
+    let mut evals = (g * g.saturating_sub(1) / 2) as u64;
     let mut step: u64 = 0;
     // `target` may be 0; a lone group cannot merge further.
     while groups.len() > target.max(1) {
@@ -188,49 +216,56 @@ where
         let (bi, bj) = match replayed {
             Some(pair) => pair,
             None => {
-                // Per-row argmax over j > i (strict `>`: first maximum wins
-                // within a row), merged in row order — same winner as the
-                // serial double loop.
-                let row_best = par_map(policy, groups.len(), |i| {
-                    let mut best = (f64::NEG_INFINITY, usize::MAX);
-                    for j in (i + 1)..groups.len() {
-                        let sim = space.centroid_similarity(&centroids[i], &centroids[j]);
-                        if sim > best.0 {
-                            best = (sim, j);
-                        }
-                    }
-                    best
-                });
-                let (mut bi, mut bj, mut best) = (0, 1, f64::NEG_INFINITY);
-                for (i, &(sim, j)) in row_best.iter().enumerate() {
-                    if j != usize::MAX && sim > best {
-                        best = sim;
-                        bi = i;
-                        bj = j;
-                    }
-                }
+                let pair = closest_pair(&sims);
                 if let Some(c) = ckpt.as_mut() {
-                    c.record_merge(step, bi, bj)?;
+                    c.record_merge(step, pair.0, pair.1)?;
                 }
-                (bi, bj)
+                pair
             }
         };
         step += 1;
-        let merged_members = {
-            let mut m = groups[bi].clone();
-            m.extend_from_slice(&groups[bj]);
-            m
-        };
-        // Remove j first (j > i) to keep indices valid.
-        groups.remove(bj);
+        let moved = groups.remove(bj);
+        groups[bi].extend(moved);
         centroids.remove(bj);
-        groups[bi] = merged_members;
         centroids[bi] = space.centroid(&groups[bi]);
+        sims.remove(bj);
+        for (i, row) in sims.iter_mut().enumerate().take(bj) {
+            row.remove(bj - i - 1);
+        }
+        // Refill row and column `bi`, keeping each pair's (lower, higher)
+        // argument order.
+        let others: Vec<usize> = (0..groups.len()).filter(|&k| k != bi).collect();
+        let fresh = par_map_slice(policy, &others, |_, &k| {
+            space.centroid_similarity(&centroids[k.min(bi)], &centroids[k.max(bi)])
+        });
+        evals += others.len() as u64;
+        for (&k, sim) in others.iter().zip(fresh) {
+            let (lo, hi) = (k.min(bi), k.max(bi));
+            sims[lo][hi - lo - 1] = sim;
+        }
     }
+    obs.add("hac.similarity_evals", evals);
     if let Some(c) = ckpt.as_mut() {
         c.finish(step)?;
     }
     Ok(Partition::new(groups, n))
+}
+
+/// The most similar cached pair `(i, j)`, `i < j`, scanned row-major with
+/// strict `>` so the first maximum wins; `(0, 1)` when no value beats
+/// `-inf` (all NaN).
+fn closest_pair(sims: &[Vec<f64>]) -> (usize, usize) {
+    let (mut bi, mut bj, mut best) = (0, 1, f64::NEG_INFINITY);
+    for (i, row) in sims.iter().enumerate() {
+        for (off, &sim) in row.iter().enumerate() {
+            if sim > best {
+                best = sim;
+                bi = i;
+                bj = i + 1 + off;
+            }
+        }
+    }
+    (bi, bj)
 }
 
 /// Single/complete/average linkage over a pairwise distance matrix with
@@ -543,6 +578,33 @@ mod tests {
                     "{linkage:?} under {policy:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn centroid_similarity_evals_match_closed_form() {
+        // From g singletons: the initial g(g−1)/2 triangle, then g_t − 2
+        // refreshed pairs after the merge that starts from g_t groups.
+        let space = blobs();
+        let g = space.len() as u64;
+        for target in [0, 1, 2, 5, 6] {
+            let obs = Obs::enabled();
+            let o = HacOptions {
+                target_clusters: target,
+                linkage: Linkage::Centroid,
+            };
+            let p = hac_obs(&space, &[], &o, ExecPolicy::Parallel { threads: 3 }, &obs);
+            assert_eq!(p, hac_exec(&space, &[], &o, ExecPolicy::Serial));
+            let last = (target as u64).max(1);
+            let expected = g * (g - 1) / 2 + ((last + 1)..=g).map(|gt| gt - 2).sum::<u64>();
+            let evals = obs
+                .snapshot()
+                .counters
+                .into_iter()
+                .find(|(name, _)| name == "hac.similarity_evals")
+                .map(|(_, v)| v);
+            let expected = (g > last).then_some(expected);
+            assert_eq!(evals, expected, "target {target}");
         }
     }
 

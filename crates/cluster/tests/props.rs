@@ -406,3 +406,113 @@ fn hac_keeps_separated_blobs_apart() {
         Ok(())
     });
 }
+
+// ---------------------------------------------------------------------
+// Centroid-linkage HAC: the cached kernel against a full rescan.
+// ---------------------------------------------------------------------
+
+use cafc_check::gen::from_slice;
+use cafc_cluster::{hac_exec, Partition};
+
+/// Centroid linkage with no similarity cache: after every merge, rescan
+/// all centroid pairs (row-major, strict `>`, first maximum wins). O(g³)
+/// similarity evaluations; kept only as the oracle for `hac_exec`.
+/// Returns the partition and the starting group count `g`.
+fn hac_centroid_rescan<S: ClusterSpace>(
+    space: &S,
+    initial: &[Vec<usize>],
+    target: usize,
+) -> (Partition, usize) {
+    let n = space.len();
+    let mut groups: Vec<Vec<usize>> = initial.iter().filter(|g| !g.is_empty()).cloned().collect();
+    let mut seen = vec![false; n];
+    for &m in groups.iter().flatten() {
+        seen[m] = true;
+    }
+    groups.extend((0..n).filter(|&i| !seen[i]).map(|i| vec![i]));
+    let g = groups.len();
+    let mut centroids: Vec<S::Centroid> = groups.iter().map(|m| space.centroid(m)).collect();
+    while g > target && groups.len() > target.max(1) {
+        let (mut bi, mut bj, mut best) = (0, 1, f64::NEG_INFINITY);
+        for i in 0..groups.len() {
+            for j in (i + 1)..groups.len() {
+                let sim = space.centroid_similarity(&centroids[i], &centroids[j]);
+                if sim > best {
+                    (bi, bj, best) = (i, j, sim);
+                }
+            }
+        }
+        let moved = groups.remove(bj);
+        groups[bi].extend(moved);
+        centroids.remove(bj);
+        centroids[bi] = space.centroid(&groups[bi]);
+    }
+    (Partition::new(groups, n), g)
+}
+
+/// `hac_exec` with centroid linkage equals the rescan oracle under every
+/// policy, for targets 0, 1 and g−1.
+fn require_centroid_hac_matches_rescan<S>(space: &S, initial: &[Vec<usize>]) -> Result<(), String>
+where
+    S: ClusterSpace + Sync,
+    S::Centroid: Send + Sync,
+{
+    let g = hac_centroid_rescan(space, initial, 0).1;
+    for target in [0, 1, g.saturating_sub(1)] {
+        let expected = hac_centroid_rescan(space, initial, target).0;
+        let opts = HacOptions {
+            target_clusters: target,
+            linkage: Linkage::Centroid,
+        };
+        for policy in [
+            ExecPolicy::Serial,
+            ExecPolicy::Parallel { threads: 1 },
+            ExecPolicy::Parallel { threads: 7 },
+        ] {
+            let got = hac_exec(space, initial, &opts, policy);
+            require_eq!(got, expected);
+        }
+    }
+    Ok(())
+}
+
+/// A hub-seeded start: the first `keep` clusters of a clustering; the
+/// items they leave out start as singletons (`keep` 0: all singletons).
+fn seeded_start(n: usize) -> Gen<Vec<Vec<usize>>> {
+    pairs(&clustering(n, 5), &usizes(0, 5))
+        .map(|(clusters, keep)| clusters.iter().take(*keep).cloned().collect())
+}
+
+/// Random 2-D points (continuous coordinates: ties are rare).
+#[test]
+fn centroid_hac_matches_rescan_on_random_points() {
+    let problem = usizes(1, 14)
+        .flat_map(|&n| pairs(&vecs(&vecs(&f64s(-3.0, 3.0), 2, 2), n, n), &seeded_start(n)));
+    check!(CheckConfig::new(), problem, |(points, initial)| {
+        require_centroid_hac_matches_rescan(&DenseSpace::new(points.clone()), initial)
+    });
+}
+
+/// 2-D points on a coarse grid: duplicate points and exactly tied pairs
+/// are common, so the first-maximum tie-break decides most merges.
+#[test]
+fn centroid_hac_matches_rescan_on_tied_points() {
+    let coord = from_slice(&[0.0, 1.0, 2.0]);
+    let problem =
+        usizes(1, 14).flat_map(move |&n| pairs(&vecs(&vecs(&coord, 2, 2), n, n), &seeded_start(n)));
+    check!(CheckConfig::new(), problem, |(points, initial)| {
+        require_centroid_hac_matches_rescan(&DenseSpace::new(points.clone()), initial)
+    });
+}
+
+/// Term-set documents (cosine, with empty and zero-overlap documents)
+/// from their seed clusters and from the rescan's partial starts.
+#[test]
+fn centroid_hac_matches_rescan_on_term_sets() {
+    check!(CheckConfig::new(), sparse_problem(), |(docs, seeds)| {
+        let space = TermSets { docs: docs.clone() };
+        require_centroid_hac_matches_rescan(&space, seeds)?;
+        require_centroid_hac_matches_rescan(&space, &seeds[..seeds.len() / 2])?;
+        require_centroid_hac_matches_rescan(&space, &[])
+    });
+}

@@ -31,7 +31,7 @@ use cafc_cluster::{
 };
 use cafc_exec::ExecPolicy;
 use cafc_obs::json::number;
-use cafc_obs::Obs;
+use cafc_obs::{Fnv, Obs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -196,22 +196,14 @@ pub struct BenchReport {
     pub total_wall_ms: f64,
 }
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over a stream of `u64`s (little-endian), the same construction
 /// the serving benchmark uses for its stream/results hashes.
 fn fnv_u64s<I: IntoIterator<Item = u64>>(values: I) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv::new();
     for v in values {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+        h.write_u64(v);
     }
-    h
+    h.finish()
 }
 
 /// Hash a partition: cluster count, then each item's assignment (items

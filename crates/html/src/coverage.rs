@@ -16,6 +16,7 @@
 //! single-threaded by construction — one tokenizer, one map — which keeps
 //! the handle a plain `Rc<RefCell<…>>`.
 
+pub use cafc_obs::fnv1a;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -148,17 +149,6 @@ impl CoveragePoint {
     pub fn attr_bucket(name: &str) -> u8 {
         (fnv1a(name.as_bytes()) % 32) as u8
     }
-}
-
-/// FNV-1a over bytes — the crate-local hash for coverage buckets and
-/// content addressing. Dependency-free and stable across platforms.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A small 32-bit integer mix (xorshift-multiply) for edge hashing.

@@ -3,7 +3,7 @@
 //! A dependency-free observability layer for the CAFC pipeline: a metrics
 //! registry (counters, gauges, fixed-bucket histograms), hierarchical span
 //! timing, and stable-order text/JSON exporters. Its [`json`] module is the
-//! workspace's one JSON reader and writer.
+//! workspace's one JSON reader and writer, and [`Fnv`] its one hash.
 //!
 //! Two properties drive the design:
 //!
@@ -33,9 +33,11 @@
 
 #![warn(missing_docs)]
 
+mod fnv;
 pub mod json;
 mod snapshot;
 
+pub use fnv::{fnv1a, Fnv};
 pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 
 use std::collections::BTreeMap;

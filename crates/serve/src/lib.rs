@@ -29,5 +29,6 @@ pub mod json;
 pub mod loadgen;
 pub mod server;
 
-pub use loadgen::{Fnv, LoadgenConfig, LoadgenReport, QueryMix};
+pub use cafc_obs::Fnv;
+pub use loadgen::{LoadgenConfig, LoadgenReport, QueryMix};
 pub use server::{ServeOptions, Server, ServerHandle, SharedIndex};

@@ -27,47 +27,8 @@ use std::time::{Duration, Instant};
 use cafc::{FormPageCorpus, Obs, SearchIndex};
 use cafc_check::rng::Seed;
 use cafc_obs::json::number;
+use cafc_obs::Fnv;
 use cafc_text::{Analyzer, TermDict};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A running FNV-1a 64-bit digest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// The empty digest.
-    pub fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-
-    /// Absorb raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorb a `u64` (little-endian).
-    pub fn write_u64(&mut self, value: u64) {
-        self.write(&value.to_le_bytes());
-    }
-
-    /// The digest value.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
 
 /// Load-generator configuration.
 ///

@@ -9,6 +9,9 @@
 
 use crate::error::StoreError;
 
+/// FNV-1a 64-bit hash — the snapshot checksum (and fingerprint hash).
+pub use cafc_obs::fnv1a as fnv1a64;
+
 /// Append-only byte sink for encoding payloads.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -148,16 +151,6 @@ impl<'a> ByteReader<'a> {
         let bytes = self.get_bytes()?;
         std::str::from_utf8(bytes).map_err(|_| self.corrupt("utf-8 string"))
     }
-}
-
-/// FNV-1a 64-bit hash — the snapshot checksum (and fingerprint hash).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the per-frame

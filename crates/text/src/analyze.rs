@@ -1,9 +1,17 @@
 //! The analysis pipeline: tokenize → stopword-filter → stem → intern.
+//!
+//! One loop, [`Analyzer::analyze_into_budget`], runs it over two reusable
+//! buffers (the tokenizer's lowercase token and the stemmer's output), so
+//! the only allocations per call are those buffers and the dictionary's
+//! copies of terms it has never seen.
+
+use std::borrow::Cow;
+use std::ops::ControlFlow;
 
 use crate::dict::{TermDict, TermId};
-use crate::stem::stem;
+use crate::stem::stem_into;
 use crate::stopwords::is_stopword;
-use crate::tokenize::{tokenize_with, TokenizeOptions};
+use crate::tokenize::{for_each_token, TokenizeOptions};
 
 /// Configurable text analyzer.
 ///
@@ -41,21 +49,7 @@ impl Analyzer {
     /// Like [`Analyzer::analyze`] but appends into a reusable buffer,
     /// avoiding per-call allocation in the corpus-scale loops.
     pub fn analyze_into(&self, text: &str, dict: &mut TermDict, out: &mut Vec<TermId>) {
-        for token in tokenize_with(text, self.tokenize) {
-            if self.remove_stopwords && is_stopword(&token) {
-                continue;
-            }
-            let term = if self.stem { stem(&token) } else { token };
-            if term.is_empty() {
-                continue;
-            }
-            // Stemming can collapse a content word onto a stopword ("ares"
-            // -> "are"); filter again post-stem so no stopword survives.
-            if self.remove_stopwords && is_stopword(&term) {
-                continue;
-            }
-            out.push(dict.intern(&term));
-        }
+        self.analyze_into_budget(text, dict, out, usize::MAX);
     }
 
     /// Like [`Analyzer::analyze_into`], but stop once `out` holds `budget`
@@ -69,23 +63,31 @@ impl Analyzer {
         out: &mut Vec<TermId>,
         budget: usize,
     ) -> bool {
-        for token in tokenize_with(text, self.tokenize) {
+        let mut stemmed = Vec::new();
+        let walk = for_each_token(text, self.tokenize, |token| {
             if out.len() >= budget {
-                return true;
+                return ControlFlow::Break(());
             }
-            if self.remove_stopwords && is_stopword(&token) {
-                continue;
+            if self.remove_stopwords && is_stopword(token) {
+                return ControlFlow::Continue(());
             }
-            let term = if self.stem { stem(&token) } else { token };
-            if term.is_empty() {
-                continue;
+            let term = if self.stem {
+                stem_into(token, &mut stemmed);
+                // Valid UTF-8 (see `stem_into`), so this borrows.
+                String::from_utf8_lossy(&stemmed)
+            } else {
+                Cow::Borrowed(token)
+            };
+            // Stemming can collapse a content word onto a stopword
+            // ("abouts" -> "about"); filter again post-stem so no stopword
+            // survives. An unchanged term already passed the filter above.
+            let stopped = self.remove_stopwords && *term != *token && is_stopword(&term);
+            if !term.is_empty() && !stopped {
+                out.push(dict.intern(&term));
             }
-            if self.remove_stopwords && is_stopword(&term) {
-                continue;
-            }
-            out.push(dict.intern(&term));
-        }
-        false
+            ControlFlow::Continue(())
+        });
+        walk.is_break()
     }
 
     /// Analyze into plain strings (for debugging and golden tests).

@@ -6,7 +6,9 @@
 //! [`TermDict`] interner that maps stemmed terms to dense [`TermId`]s so the
 //! vector-space layer can work with integer-keyed sparse vectors.
 //!
-//! The [`Analyzer`] ties the stages together:
+//! The [`Analyzer`] ties the stages together in one loop that allocates
+//! nothing per token: the tokenizer lowers each token into a reused buffer
+//! and [`stem_into`] stems into another.
 //!
 //! ```
 //! use cafc_text::{Analyzer, TermDict};
@@ -29,6 +31,6 @@ pub mod tokenize;
 
 pub use analyze::Analyzer;
 pub use dict::{TermDict, TermId};
-pub use stem::stem;
+pub use stem::{stem, stem_into};
 pub use stopwords::is_stopword;
 pub use tokenize::tokenize;

@@ -7,6 +7,10 @@
 //! `bli`→`ble`, and `logi`→`log`). It operates on lowercase ASCII; words
 //! containing non-ASCII-alphabetic characters are returned unchanged, as are
 //! words of length ≤ 2 (the algorithm's own convention).
+//!
+//! [`stem_into`] is the kernel: it rewrites the word in a caller-owned
+//! byte buffer, so the analyzer stems a whole corpus without allocating.
+//! [`stem`] wraps it for one-off calls.
 
 /// Stem a single word. The input is lowercased internally.
 ///
@@ -16,13 +20,29 @@
 /// assert_eq!(cafc_text::stem("privacy"), "privaci");
 /// ```
 pub fn stem(word: &str) -> String {
-    let lower = word.to_ascii_lowercase();
-    if lower.len() <= 2 || !lower.bytes().all(|b| b.is_ascii_lowercase()) {
-        return lower;
+    let mut buf = Vec::new();
+    stem_into(word, &mut buf);
+    // The stemmer only rewrites ASCII bytes, so `buf` is valid UTF-8 and
+    // this is lossless; lossy conversion just removes the panic path.
+    String::from_utf8_lossy(&buf).into_owned()
+}
+
+/// Stem `word` into `buf` (cleared first): the bytes of [`stem`]`(word)`,
+/// always valid UTF-8. Reusing `buf` across words makes stemming
+/// allocation-free once it has grown to the longest word.
+///
+/// ```
+/// let mut buf = Vec::new();
+/// cafc_text::stem_into("Flights", &mut buf);
+/// assert_eq!(buf, b"flight");
+/// ```
+pub fn stem_into(word: &str, buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend(word.bytes().map(|b| b.to_ascii_lowercase()));
+    if buf.len() <= 2 || !buf.iter().all(u8::is_ascii_lowercase) {
+        return;
     }
-    let mut s = Stemmer {
-        b: lower.into_bytes(),
-    };
+    let mut s = Stemmer { b: buf };
     s.step1a();
     s.step1b();
     s.step1c();
@@ -31,16 +51,13 @@ pub fn stem(word: &str) -> String {
     s.step4();
     s.step5a();
     s.step5b();
-    // The stemmer only rewrites ASCII bytes, so this is lossless; lossy
-    // conversion just removes the panic path.
-    String::from_utf8_lossy(&s.b).into_owned()
 }
 
-struct Stemmer {
-    b: Vec<u8>,
+struct Stemmer<'a> {
+    b: &'a mut Vec<u8>,
 }
 
-impl Stemmer {
+impl Stemmer<'_> {
     /// Is the letter at index `i` a consonant (with Porter's `y` rule)?
     fn is_consonant(&self, i: usize) -> bool {
         match self.b[i] {

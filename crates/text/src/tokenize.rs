@@ -3,6 +3,14 @@
 //! Splits text into lowercase word tokens on any non-alphanumeric boundary.
 //! Pure numbers are dropped by default (they are database *contents* —
 //! prices, years — not schema vocabulary), as are one-character tokens.
+//!
+//! The kernel, `for_each_token`, lowers each token into one reusable
+//! buffer and hands it to a callback, so a walk over a page allocates
+//! nothing once the buffer has grown to the longest token; the analyzer
+//! runs on it. [`tokenize_with`] collects the same tokens into owned
+//! strings.
+
+use std::ops::ControlFlow;
 
 /// Tokenization options.
 #[derive(Debug, Clone, Copy)]
@@ -39,29 +47,46 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// Tokenize with explicit options.
 pub fn tokenize_with(text: &str, opts: TokenizeOptions) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    for c in text.chars() {
-        if c.is_alphanumeric() {
-            current.extend(c.to_lowercase());
-        } else if !current.is_empty() {
-            push_token(&mut tokens, std::mem::take(&mut current), opts);
-        }
-    }
-    if !current.is_empty() {
-        push_token(&mut tokens, current, opts);
-    }
+    let _ = for_each_token(text, opts, |token| {
+        tokens.push(token.to_owned());
+        ControlFlow::Continue(())
+    });
     tokens
 }
 
-fn push_token(tokens: &mut Vec<String>, token: String, opts: TokenizeOptions) {
+/// Call `f` on every token of `text`, in order, until `f` breaks; returns
+/// `Break` if it did. The tokens are exactly those of [`tokenize_with`],
+/// each lowered into one buffer that is reused across tokens.
+pub(crate) fn for_each_token(
+    text: &str,
+    opts: TokenizeOptions,
+    mut f: impl FnMut(&str) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let mut buf = String::new();
+    for c in text.chars() {
+        // ASCII first: the same result as the Unicode tables, cheaper.
+        if c.is_ascii_alphanumeric() {
+            buf.push(c.to_ascii_lowercase());
+        } else if !c.is_ascii() && c.is_alphanumeric() {
+            buf.extend(c.to_lowercase());
+        } else if !buf.is_empty() {
+            if keep_token(&buf, opts) {
+                f(&buf)?;
+            }
+            buf.clear();
+        }
+    }
+    if !buf.is_empty() && keep_token(&buf, opts) {
+        f(&buf)?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// The length and number filters of [`TokenizeOptions`].
+fn keep_token(token: &str, opts: TokenizeOptions) -> bool {
     let len = token.chars().count();
-    if len < opts.min_len || len > opts.max_len {
-        return;
-    }
-    if !opts.keep_numbers && token.chars().all(|c| c.is_ascii_digit()) {
-        return;
-    }
-    tokens.push(token);
+    (opts.min_len..=opts.max_len).contains(&len)
+        && (opts.keep_numbers || !token.bytes().all(|b| b.is_ascii_digit()))
 }
 
 #[cfg(test)]
