@@ -1291,7 +1291,7 @@ fn bench_batch(args: &Args) -> Result<(), String> {
 }
 
 /// `cafc bench` — two modes. With `--json`/`--digest`: one seeded
-/// sharded-corpus batch run (gen → ingest → vectorize → sparse k-means →
+/// sharded-corpus batch run (gen → ingest → vectorize → k-means →
 /// HAC-on-sample) written as the stable `BENCH_<n>.json` schema. Without:
 /// serial vs parallel wall-clock for the full pipeline (vectorization +
 /// CAFC-CH) at several corpus sizes. The policies must produce

@@ -76,7 +76,7 @@
 //!     Time the full pipeline serial vs parallel at several corpus sizes,
 //!     verifying the two produce identical partitions. With `--json` or
 //!     `--digest`: one seeded sharded-corpus batch run (gen → ingest →
-//!     vectorize → sparse k-means → HAC-on-sample) written in the stable
+//!     vectorize → k-means → HAC-on-sample) written in the stable
 //!     `BENCH_<n>.json` schema; the digest contains only seed-determined
 //!     fields and is byte-identical across thread counts and machines.
 //!

@@ -106,9 +106,9 @@ where
 /// Identical semantics to [`kmeans`] (which delegates here with
 /// [`ExecPolicy::Serial`]); the assignment step and the per-cluster
 /// centroid rebuild fan out across threads. Results are bit-identical for
-/// every policy: assignments are an order-preserving [`par_map`] and the
-/// centroid of each cluster is computed by one closure regardless of the
-/// thread count.
+/// every policy: assignments are an order-preserving
+/// [`par_map`](cafc_exec::par_map) and the centroid of each cluster is
+/// computed by one closure regardless of the thread count.
 pub fn kmeans_exec<S>(
     space: &S,
     seeds: &[Vec<usize>],
@@ -127,9 +127,11 @@ where
 /// Identical semantics (and bit-identical output) to [`kmeans_exec`],
 /// which delegates here with [`Obs::disabled`]. Emits, when `obs` has a
 /// sink: spans `kmeans.assign` / `kmeans.update` (orchestrating thread,
-/// aggregated across iterations), counter `kmeans.iterations`, gauge
-/// `kmeans.converged` (0/1), and histogram `kmeans.moved_fraction` (one
-/// observation per iteration over [`FRACTION_BUCKETS`]).
+/// aggregated across iterations), counters `kmeans.iterations` and
+/// `kmeans.similarity_evals` (n·k per assignment pass; a resumed run
+/// counts only the passes it recomputes), gauge `kmeans.converged` (0/1),
+/// and histogram `kmeans.moved_fraction` (one observation per iteration
+/// over [`FRACTION_BUCKETS`]).
 pub fn kmeans_obs<S>(
     space: &S,
     seeds: &[Vec<usize>],
@@ -152,32 +154,46 @@ where
     }
 }
 
-/// The dense reference assignment: every item scores against every
-/// centroid, deterministic argmax (initial best 0, strict `>`, so ties and
-/// non-finite similarities resolve to the lowest cluster index). The
-/// sparse kernel (`sparse.rs`) reproduces these exact assignments while
-/// skipping zero-overlap pairs.
-pub(crate) fn dense_assign<S>(
-    space: &S,
-    centroids: &[S::Centroid],
-    policy: ExecPolicy,
-    obs: &Obs,
-) -> Vec<usize>
+/// The nearest centroid to `item` among `centroids`, given as
+/// `(cluster index, centroid)` pairs in ascending index order: one
+/// similarity evaluation per pair, strict `>` against an initial best of
+/// `-∞`, so ties and non-finite similarities resolve to the first pair.
+/// `None` only when `centroids` is empty.
+///
+/// The single argmax behind every nearest-centroid decision: the k-means
+/// assignment pass here, and the incremental and §5 assignment helpers
+/// of the core crate, which pass only their non-empty clusters.
+pub fn nearest_centroid<'c, S, I>(space: &S, item: usize, centroids: I) -> Option<usize>
+where
+    S: ClusterSpace,
+    S::Centroid: 'c,
+    I: IntoIterator<Item = (usize, &'c S::Centroid)>,
+{
+    let mut best = None;
+    let mut best_sim = f64::NEG_INFINITY;
+    for (c, centroid) in centroids {
+        let sim = space.similarity(centroid, item);
+        if sim > best_sim {
+            best_sim = sim;
+            best = Some(c);
+        } else if best.is_none() {
+            // A NaN or -∞ first similarity still makes the first pair the
+            // fallback, without raising the bar for the pairs after it.
+            best = Some(c);
+        }
+    }
+    best
+}
+
+/// The assignment pass: every item scores against every centroid
+/// (n·k similarity evaluations) and takes the [`nearest_centroid`].
+fn assign<S>(space: &S, centroids: &[S::Centroid], policy: ExecPolicy, obs: &Obs) -> Vec<usize>
 where
     S: ClusterSpace + Sync,
     S::Centroid: Send + Sync,
 {
     par_map_obs(policy, space.len(), obs, "kmeans.assign", |item| {
-        let mut best = 0usize;
-        let mut best_sim = f64::NEG_INFINITY;
-        for (c, centroid) in centroids.iter().enumerate() {
-            let sim = space.similarity(centroid, item);
-            if sim > best_sim {
-                best_sim = sim;
-                best = c;
-            }
-        }
-        best
+        nearest_centroid(space, item, centroids.iter().enumerate()).unwrap_or(0)
     })
 }
 
@@ -193,35 +209,11 @@ pub(crate) fn kmeans_driver<S>(
     opts: &KMeansOptions,
     policy: ExecPolicy,
     obs: &Obs,
-    ckpt: Option<&mut KMeansCheckpointer<'_>>,
-) -> Result<KMeansOutcome, StoreError>
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    kmeans_driver_with(space, seeds, opts, policy, obs, ckpt, &dense_assign)
-}
-
-/// [`kmeans_driver`] generic over the assignment step: `assign` maps the
-/// current centroids to one cluster index per item. Every strategy must
-/// reproduce the dense reference assignments bit-for-bit (the sparse
-/// kernel's contract — see `sparse.rs`); the loop around it (move
-/// counting, centroid rebuild, stopping rule, checkpoint journaling) is
-/// shared so strategies can never diverge on anything but the O(n·k)
-/// similarity pass they optimize.
-pub(crate) fn kmeans_driver_with<S, A>(
-    space: &S,
-    seeds: &[Vec<usize>],
-    opts: &KMeansOptions,
-    policy: ExecPolicy,
-    obs: &Obs,
     mut ckpt: Option<&mut KMeansCheckpointer<'_>>,
-    assign: &A,
 ) -> Result<KMeansOutcome, StoreError>
 where
     S: ClusterSpace + Sync,
     S::Centroid: Send + Sync,
-    A: Fn(&S, &[S::Centroid], ExecPolicy, &Obs) -> Vec<usize>,
 {
     let n = space.len();
     let seeds: Vec<&Vec<usize>> = seeds.iter().filter(|s| !s.is_empty()).collect();
@@ -247,6 +239,9 @@ where
     let mut assignment = vec![usize::MAX; n];
     let mut iterations = 0;
     let mut converged = false;
+    // Counted locally and emitted once, so a disabled sink costs nothing
+    // per pass.
+    let mut similarity_evals = 0u64;
 
     // A cap of 0 would leave items unassigned (usize::MAX); always run at
     // least one assignment pass.
@@ -265,6 +260,7 @@ where
         let best_of = match replayed {
             Some(assignments) => assignments,
             None => {
+                similarity_evals += (n * k) as u64;
                 let best_of = {
                     let _span = obs.span("kmeans.assign");
                     assign(space, &centroids, policy, obs)
@@ -318,6 +314,7 @@ where
     if let Some(c) = ckpt.as_mut() {
         c.finish(iterations)?;
     }
+    obs.add("kmeans.similarity_evals", similarity_evals);
     obs.gauge("kmeans.converged", if converged { 1.0 } else { 0.0 });
     let partition = Partition::from_assignments(&assignment, k);
     Ok(KMeansOutcome {

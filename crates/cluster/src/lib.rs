@@ -18,41 +18,34 @@
 //!   farthest-first selection over candidate clusters used by
 //!   `SelectHubClusters` (Algorithm 3), and HAC-over-sample seeding (§4.3).
 //!
-//! Scaling kernels (ROADMAP item 3 — 10^5–10^6 pages), both bit-identical
-//! to [`kmeans()`] where their contracts say so:
-//!
-//! * [`kmeans_sparse()`] — assignment over an inverted term → candidate
-//!   index; zero-overlap (item, centroid) pairs are skipped, outputs are
-//!   bit-identical to the dense reference;
-//! * [`kmeans_minibatch()`] — seeded mini-batch assignment for large `n`;
-//!   `batch_size ≥ n` degrades to full k-means, bit-identically.
+//! k-means has one kernel: every assignment pass scores each item against
+//! every centroid ([`nearest_centroid`]). An inverted term → centroid
+//! index would skip no pair here: the generic terms every form page
+//! carries give each page a term in common with every centroid at the
+//! paper's k = 8 (DESIGN.md §17.3).
 
 #![warn(missing_docs)]
 
 pub mod bisect;
 pub mod hac;
 pub mod kmeans;
-pub mod minibatch;
 pub mod partition;
 pub mod resume;
 pub mod seed;
 pub mod space;
-pub mod sparse;
 pub mod validity;
 
 pub use bisect::{bisecting_kmeans, bisecting_kmeans_exec, bisecting_kmeans_obs, BisectOptions};
 pub use cafc_exec::ExecPolicy;
 pub use cafc_obs::Obs;
 pub use hac::{hac, hac_exec, hac_from_singletons, hac_obs, HacOptions, Linkage};
-pub use kmeans::{kmeans, kmeans_exec, kmeans_obs, KMeansOptions, KMeansOutcome};
-pub use minibatch::{
-    kmeans_minibatch, kmeans_minibatch_exec, kmeans_minibatch_obs, MiniBatchOptions,
-};
+/// The old name of [`kmeans_exec`], kept only because the benchmark
+/// harness (`perfbench/src/batch.rs`) calls it by that name and the
+/// benchmark's sources change only together with the benchmark itself.
+pub use kmeans::kmeans_exec as kmeans_sparse_exec;
+pub use kmeans::{kmeans, kmeans_exec, kmeans_obs, nearest_centroid, KMeansOptions, KMeansOutcome};
 pub use partition::Partition;
 pub use resume::{hac_resumable, kmeans_resumable};
 pub use seed::{greedy_distant_seeds, kmeanspp_seeds, random_singleton_seeds};
 pub use space::{ClusterSpace, DenseSpace};
-pub use sparse::{
-    kmeans_sparse, kmeans_sparse_exec, kmeans_sparse_obs, CandidateIndex, SparseClusterSpace,
-};
 pub use validity::{choose_k, mean_silhouette, silhouette_of};

@@ -330,7 +330,7 @@ where
 mod tests {
     use super::*;
     use crate::hac::hac;
-    use crate::kmeans::kmeans;
+    use crate::kmeans::kmeans_obs;
     use crate::space::DenseSpace;
     use cafc_store::{ChaosFs, FaultKind, FaultPlan, StdFs, StoreConfig};
 
@@ -356,14 +356,31 @@ mod tests {
         Store::open(dir, StoreConfig::new(), Obs::disabled()).expect("open store")
     }
 
+    fn similarity_evals(obs: &Obs) -> Option<u64> {
+        let snap = obs.snapshot();
+        let found = snap
+            .counters
+            .iter()
+            .find(|(name, _)| name == "kmeans.similarity_evals");
+        found.map(|(_, v)| *v)
+    }
+
+    /// A crash at any early store operation, then a resume, is
+    /// bit-identical to an uninterrupted run; `kmeans.similarity_evals`
+    /// counts n·k per pass recomputed live and 0 per pass replayed.
     #[test]
     fn kmeans_crash_and_resume_is_bit_identical() {
         let space = space();
         let seeds = vec![vec![0], vec![6], vec![12]];
         let opts = KMeansOptions::strict();
-        let baseline = kmeans(&space, &seeds, &opts);
+        let obs = Obs::enabled();
+        let baseline = kmeans_obs(&space, &seeds, &opts, ExecPolicy::Serial, &obs);
+        let per_pass = (space.len() * seeds.len()) as u64;
+        let iterations = baseline.iterations as u64;
+        assert_eq!(similarity_evals(&obs), Some(per_pass * iterations));
 
         let dir = tmp_dir("kmeans");
+        let mut journal_lengths = std::collections::BTreeSet::new();
         for at in 0..6u64 {
             let _ = std::fs::remove_dir_all(&dir);
             let (chaos, _ctl) = ChaosFs::controlled(
@@ -387,15 +404,22 @@ mod tests {
             );
             if let Ok(outcome) = crashed {
                 assert_eq!(outcome.partition, baseline.partition);
-                continue;
             }
+            // Resume whether or not the run crashed: a finished journal
+            // replays every pass.
             let mut store = store_at(&dir);
+            let journaled = (store.journal_records("kmeans").expect("journal"))
+                .iter()
+                .filter(|rec| rec.kind == KIND_DECISION)
+                .count() as u64;
+            journal_lengths.insert(journaled);
+            let obs = Obs::enabled();
             let resumed = kmeans_resumable(
                 &space,
                 &seeds,
                 &opts,
                 ExecPolicy::Serial,
-                &Obs::disabled(),
+                &obs,
                 &mut store,
                 true,
             )
@@ -403,7 +427,17 @@ mod tests {
             assert_eq!(resumed.partition, baseline.partition, "crash at op {at}");
             assert_eq!(resumed.iterations, baseline.iterations);
             assert_eq!(resumed.converged, baseline.converged);
+            assert_eq!(
+                similarity_evals(&obs),
+                Some(per_pass * (iterations - journaled)),
+                "crash at op {at} with {journaled} passes journaled"
+            );
         }
+        assert_eq!(
+            journal_lengths,
+            (0..=iterations).collect(),
+            "the crash points must leave every journal length"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

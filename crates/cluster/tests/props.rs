@@ -1,12 +1,13 @@
-//! `cafc-check` property suite for seed selection (Algorithm 3) and the
-//! k-means loop over generated dense spaces. Runs offline on every commit.
+//! `cafc-check` property suite for seed selection (Algorithm 3), the
+//! k-means loop and centroid-linkage HAC over generated dense points and
+//! term-set documents. Runs offline on every commit.
 
 use cafc_check::corpus::clustering;
 use cafc_check::gen::{f64s, pairs, usizes, vecs, Gen};
 use cafc_check::{check, require, require_eq, CheckConfig};
 use cafc_cluster::{
-    greedy_distant_seeds, hac_from_singletons, kmeans, random_singleton_seeds, ClusterSpace,
-    DenseSpace, HacOptions, KMeansOptions, Linkage,
+    greedy_distant_seeds, hac_from_singletons, kmeans, kmeans_exec, random_singleton_seeds,
+    ClusterSpace, DenseSpace, ExecPolicy, HacOptions, KMeansOptions, Linkage,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,10 +69,49 @@ fn greedy_selection_deterministic() {
     });
 }
 
-/// k-means from arbitrary generated seed clusters yields a valid full
-/// partition: every item in exactly one cluster, iteration count within the
-/// configured cap, no more clusters than seeds. (Starved clusters may end
-/// empty — that is allowed; losing or duplicating an item is not.)
+/// The k-means properties every input must satisfy: a valid full
+/// partition (every item in exactly one cluster), an iteration count
+/// within the configured cap, no more clusters than seeds, the same
+/// outcome under `Serial` and `Parallel { threads: 3 }`, and every item in
+/// `zero_overlap` (similarity exactly 0 to every centroid it can meet) in
+/// cluster 0, the lowest-index tie-break. Starved clusters may end empty —
+/// that is allowed; losing or duplicating an item is not.
+fn require_kmeans_props<S>(
+    space: &S,
+    seeds: &[Vec<usize>],
+    zero_overlap: &[usize],
+) -> Result<(), String>
+where
+    S: ClusterSpace + Sync,
+    S::Centroid: Send + Sync,
+{
+    let opts = KMeansOptions::default();
+    let out = kmeans(space, seeds, &opts);
+    let mut assigned: Vec<usize> = out.partition.clusters().iter().flatten().copied().collect();
+    assigned.sort_unstable();
+    require_eq!(assigned, (0..space.len()).collect::<Vec<_>>());
+    require!(out.partition.num_clusters() <= seeds.len());
+    require!(
+        out.iterations <= opts.max_iterations.max(1),
+        "iterations {} above cap",
+        out.iterations
+    );
+    let parallel = kmeans_exec(space, seeds, &opts, ExecPolicy::Parallel { threads: 3 });
+    require_eq!(out.partition.clusters(), parallel.partition.clusters());
+    require_eq!(out.iterations, parallel.iterations);
+    require_eq!(out.converged, parallel.converged);
+    for &item in zero_overlap {
+        require!(
+            out.partition.clusters()[0].contains(&item),
+            "zero-overlap item {item} not in cluster 0: {:?}",
+            out.partition.clusters()
+        );
+    }
+    Ok(())
+}
+
+/// k-means from arbitrary generated seed clusters satisfies
+/// [`require_kmeans_props`] on dense points and on term-set documents.
 #[test]
 fn kmeans_yields_valid_partition() {
     check!(CheckConfig::new(), selection_problem(), |(
@@ -79,19 +119,27 @@ fn kmeans_yields_valid_partition() {
         seeds,
         _,
     )| {
-        let n = points.len();
-        let space = DenseSpace::new(points.clone());
-        let opts = KMeansOptions::default();
-        let out = kmeans(&space, seeds, &opts);
-        let mut assigned: Vec<usize> = out.partition.clusters().iter().flatten().copied().collect();
-        assigned.sort_unstable();
-        require_eq!(assigned, (0..n).collect::<Vec<_>>());
-        require!(out.partition.num_clusters() <= seeds.len());
-        require!(
-            out.iterations <= opts.max_iterations.max(1),
-            "iterations {} above cap",
-            out.iterations
-        );
+        require_kmeans_props(&DenseSpace::new(points.clone()), seeds, &[])
+    });
+    check!(CheckConfig::new(), sparse_problem(), |(docs, seeds)| {
+        let space = TermSets { docs: docs.clone() };
+        // The generated seeds cover every document; seeding from the first
+        // half of them leaves the rest to the first assignment pass.
+        for seeds in [&seeds[..], &seeds[..seeds.len().div_ceil(2)]] {
+            // A document in no seed that shares no term with any other
+            // document scores 0.0 against every seed centroid, joins
+            // cluster 0 on the first pass, and overlaps only cluster 0
+            // after that.
+            let zero_overlap: Vec<usize> = (0..docs.len())
+                .filter(|&i| {
+                    !seeds.iter().flatten().any(|&m| m == i)
+                        && docs.iter().enumerate().all(|(j, other)| {
+                            j == i || !docs[i].iter().any(|t| other.binary_search(t).is_ok())
+                        })
+                })
+                .collect();
+            require_kmeans_props(&space, seeds, &zero_overlap)?;
+        }
         Ok(())
     });
 }
@@ -144,19 +192,13 @@ fn greedy_selection_starts_with_a_farthest_pair() {
 }
 
 // ---------------------------------------------------------------------
-// Scaling kernels (the 10^5–10^6-page PR): sparse assignment and
-// mini-batch k-means against their exact-reference counterparts.
+// Term-set spaces: cosine over sparse documents, with empty and
+// zero-overlap documents.
 // ---------------------------------------------------------------------
 
-use cafc_cluster::{
-    kmeans_minibatch, kmeans_sparse, kmeans_sparse_exec, ExecPolicy, MiniBatchOptions,
-    SparseClusterSpace,
-};
-
 /// A term-set space: each item is a set of `u64` term keys, an item's
-/// vector is the indicator over its terms, and similarity is cosine. The
-/// key contract property holds exactly: disjoint supports ⇒ dot = 0 ⇒
-/// similarity exactly `0.0`.
+/// vector is the indicator over its terms, and similarity is cosine, so
+/// disjoint supports ⇒ dot = 0 ⇒ similarity exactly `0.0`.
 struct TermSets {
     docs: Vec<Vec<u64>>, // each sorted + deduped
 }
@@ -219,20 +261,6 @@ impl ClusterSpace for TermSets {
     }
 }
 
-impl SparseClusterSpace for TermSets {
-    fn for_each_item_term(&self, item: usize, f: &mut dyn FnMut(u64)) {
-        for &t in &self.docs[item] {
-            f(t);
-        }
-    }
-
-    fn for_each_centroid_term(&self, centroid: &Self::Centroid, f: &mut dyn FnMut(u64)) {
-        for &(t, _) in centroid {
-            f(t);
-        }
-    }
-}
-
 /// Documents as term sets, plus seed clusters over them.
 type SparseProblem = (Vec<Vec<u64>>, Vec<Vec<usize>>);
 
@@ -259,73 +287,6 @@ fn sparse_problem() -> Gen<SparseProblem> {
             (docs, seeds.clone())
         })
     })
-}
-
-/// The sparse kernel is a pure optimization: over any sparse corpus —
-/// zero-overlap and empty documents included — `kmeans_sparse` is
-/// bit-identical to dense `kmeans` from the same seeds, and invariant
-/// across execution policies.
-#[test]
-fn sparse_assignment_matches_dense_reference() {
-    check!(CheckConfig::new(), sparse_problem(), |(docs, seeds)| {
-        let space = TermSets { docs: docs.clone() };
-        let opts = KMeansOptions::default();
-        let dense = kmeans(&space, seeds, &opts);
-        let sparse = kmeans_sparse(&space, seeds, &opts);
-        require_eq!(dense.partition.clusters(), sparse.partition.clusters());
-        require_eq!(dense.iterations, sparse.iterations);
-        require_eq!(dense.converged, sparse.converged);
-        let parallel =
-            kmeans_sparse_exec(&space, seeds, &opts, ExecPolicy::Parallel { threads: 3 });
-        require_eq!(sparse.partition.clusters(), parallel.partition.clusters());
-        Ok(())
-    });
-}
-
-/// Mini-batch with `batch_size >= n` degenerates to full-batch k-means
-/// exactly — every iteration scores every item, so the outcome must be
-/// bit-identical whatever the seed of the batch sampler.
-#[test]
-fn minibatch_full_batch_is_exact_kmeans() {
-    let problem = pairs(&selection_problem(), &usizes(0, u64::MAX as usize >> 1));
-    check!(CheckConfig::new(), problem, |(
-        (points, seeds, _),
-        mb_seed,
-    )| {
-        let n = points.len();
-        let space = DenseSpace::new(points.clone());
-        let opts = KMeansOptions::default();
-        let full = kmeans(&space, seeds, &opts);
-        let mb = MiniBatchOptions::new()
-            .with_batch_size(n)
-            .with_seed(*mb_seed as u64);
-        let mini = kmeans_minibatch(&space, seeds, &opts, &mb);
-        require_eq!(full.partition.clusters(), mini.partition.clusters());
-        require_eq!(full.iterations, mini.iterations);
-        require_eq!(full.converged, mini.converged);
-        Ok(())
-    });
-}
-
-/// Small mini-batches still produce a valid full partition: every item in
-/// exactly one cluster, no more clusters than seeds.
-#[test]
-fn minibatch_small_batches_keep_partition_valid() {
-    check!(CheckConfig::new(), selection_problem(), |(
-        points,
-        seeds,
-        _,
-    )| {
-        let n = points.len();
-        let space = DenseSpace::new(points.clone());
-        let mb = MiniBatchOptions::new().with_batch_size(2).with_seed(5);
-        let out = kmeans_minibatch(&space, seeds, &KMeansOptions::default(), &mb);
-        let mut assigned: Vec<usize> = out.partition.clusters().iter().flatten().copied().collect();
-        assigned.sort_unstable();
-        require_eq!(assigned, (0..n).collect::<Vec<_>>());
-        require!(out.partition.num_clusters() <= seeds.len().max(1));
-        Ok(())
-    });
 }
 
 /// `n` 1-D points in `[0, 100]`, n in `lo..=hi`.

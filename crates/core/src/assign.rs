@@ -3,10 +3,11 @@
 //! they can be used as the basis to automatically classify new sources."
 
 use crate::space::FormPageSpace;
-use cafc_cluster::{ClusterSpace, Partition};
+use cafc_cluster::{nearest_centroid, ClusterSpace, Partition};
 
 /// Assign each of `items` (indices into the space's corpus) to the most
-/// similar non-empty cluster of `partition`. Returns `(item, cluster)`
+/// similar non-empty cluster of `partition`, ties to the lowest cluster
+/// index as in k-means ([`nearest_centroid`]). Returns `(item, cluster)`
 /// pairs in input order.
 ///
 /// The typical workflow: build one [`crate::FormPageCorpus`] over the
@@ -28,23 +29,11 @@ pub fn assign_to_clusters(
         .filter(|(_, members)| !members.is_empty())
         .map(|(ci, members)| (ci, space.centroid(members)))
         .collect();
-    if centroids.is_empty() {
-        return Vec::new();
-    }
     items
         .iter()
-        .map(|&item| {
-            let best = centroids
-                .iter()
-                .max_by(|(_, a), (_, b)| {
-                    space
-                        .similarity(a, item)
-                        .partial_cmp(&space.similarity(b, item))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(ci, _)| *ci)
-                .unwrap_or(centroids[0].0);
-            (item, best)
+        .filter_map(|&item| {
+            let best = nearest_centroid(space, item, centroids.iter().map(|(ci, c)| (*ci, c)))?;
+            Some((item, best))
         })
         .collect()
 }
@@ -86,6 +75,33 @@ mod tests {
         let partition = Partition::new(vec![vec![], vec![0, 1]], 3);
         let assigned = assign_to_clusters(&space, &partition, &[2]);
         assert_eq!(assigned, vec![(2, 1)]);
+    }
+
+    #[test]
+    fn zero_overlap_page_goes_to_the_first_cluster_like_kmeans() {
+        use crate::incremental::IncrementalClusters;
+        use cafc_cluster::{kmeans_exec, ExecPolicy, KMeansOptions};
+        // Page 2 shares no term with either cluster, so both similarities
+        // are exactly 0.0: the tie must resolve to cluster 0 everywhere.
+        let pages = [
+            "<p>airfare flights</p><form>departure <input name=a></form>",
+            "<p>careers salary</p><form>keywords <input name=b></form>",
+            "<p>zebra quartz</p><form>volcano <input name=c></form>",
+        ];
+        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
+        for seed in [0, 1] {
+            assert_eq!(space.similarity(&space.centroid(&[seed]), 2), 0.0);
+        }
+        let seeds = [vec![0], vec![1]];
+        let one_pass = KMeansOptions::new().with_max_iterations(1);
+        let km = kmeans_exec(&space, &seeds, &one_pass, ExecPolicy::Serial);
+        assert_eq!(km.partition.clusters(), &[vec![0, 2], vec![1]]);
+
+        let partition = Partition::new(seeds.to_vec(), 3);
+        assert_eq!(assign_to_clusters(&space, &partition, &[2]), vec![(2, 0)]);
+        let mut inc = IncrementalClusters::from_partition(&space, &partition);
+        assert_eq!(inc.assign(&space, 2), 0);
     }
 
     #[test]

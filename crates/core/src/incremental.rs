@@ -10,7 +10,7 @@
 //! is warranted.
 
 use crate::space::{FormPageSpace, MultiCentroid};
-use cafc_cluster::{ClusterSpace, Partition};
+use cafc_cluster::{nearest_centroid, ClusterSpace, Partition};
 
 /// A clustering that can absorb new items.
 #[derive(Debug, Clone)]
@@ -47,25 +47,19 @@ impl IncrementalClusters {
         &self.members
     }
 
-    /// Assign one new item to its most similar non-empty cluster, add it,
-    /// and refresh that cluster's centroid. Returns the cluster index.
+    /// Assign one new item to its most similar non-empty cluster (ties to
+    /// the lowest index, as in k-means), add it, and refresh that cluster's
+    /// centroid. Returns the cluster index.
     ///
     /// When every cluster is empty (a fully-quarantined start state) the
     /// item founds cluster 0, which is created if no slot exists at all.
     pub fn assign(&mut self, space: &FormPageSpace<'_>, item: usize) -> usize {
-        let best = self
+        let live = self
             .centroids
             .iter()
             .enumerate()
-            .filter(|(ci, _)| !self.members[*ci].is_empty())
-            .max_by(|(_, a), (_, b)| {
-                space
-                    .similarity(a, item)
-                    .partial_cmp(&space.similarity(b, item))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(ci, _)| ci)
-            .unwrap_or(0);
+            .filter(|(ci, _)| !self.members[*ci].is_empty());
+        let best = nearest_centroid(space, item, live).unwrap_or(0);
         if self.members.is_empty() {
             self.members.push(Vec::new());
             self.centroids.push(MultiCentroid::default());

@@ -43,7 +43,7 @@
 //! ## Determinism contract
 //!
 //! Index construction is bit-identical under every
-//! [`ExecPolicy`](crate::ExecPolicy) (chunked build, chunk-order merge),
+//! [`ExecPolicy`] (chunked build, chunk-order merge),
 //! routing is a pure function of centroids and query, and every scoring
 //! path accumulates per document in ascending query-term order — so the
 //! same query against the same corpus returns byte-identical hits

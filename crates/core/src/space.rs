@@ -2,7 +2,7 @@
 //! Equation 4 centroids, generic over which feature spaces participate.
 
 use crate::model::FormPageCorpus;
-use cafc_cluster::{ClusterSpace, SparseClusterSpace};
+use cafc_cluster::ClusterSpace;
 use cafc_vsm::SparseVector;
 
 /// Which feature spaces contribute to similarity, and with what weights
@@ -106,74 +106,6 @@ fn anchor_cosine(a: &SparseVector, b: &SparseVector) -> Option<f64> {
         None
     } else {
         Some(a.cosine(b))
-    }
-}
-
-/// Term-key tags for [`SparseClusterSpace`]: the three feature spaces
-/// share one `u64` key space by packing a space tag into the high 32 bits
-/// above the 32-bit [`cafc_text::TermId`], so a page-content term can
-/// never collide with the same term id in form contents or anchor text.
-const PC_TAG: u64 = 0 << 32;
-const FC_TAG: u64 = 1u64 << 32;
-const ANCHOR_TAG: u64 = 2u64 << 32;
-
-impl FormPageSpace<'_> {
-    /// Enumerate the tagged term keys of one page or centroid (its three
-    /// per-space vectors), restricted to the spaces the [`FeatureConfig`]
-    /// lets contribute to Equation 3. Shared by items and centroids so
-    /// both sides of the candidate index agree on the key space.
-    fn for_each_term_key(
-        &self,
-        pc: &SparseVector,
-        fc: &SparseVector,
-        anchor: &SparseVector,
-        f: &mut dyn FnMut(u64),
-    ) {
-        let (use_pc, use_fc, use_anchor) = match self.config {
-            FeatureConfig::FcOnly => (false, true, false),
-            FeatureConfig::PcOnly => (true, false, false),
-            FeatureConfig::Combined { .. } => (true, true, false),
-            FeatureConfig::WithAnchors { .. } => (true, true, true),
-        };
-        if use_pc {
-            for &(t, _) in pc.entries() {
-                f(PC_TAG | t.0 as u64);
-            }
-        }
-        if use_fc {
-            for &(t, _) in fc.entries() {
-                f(FC_TAG | t.0 as u64);
-            }
-        }
-        if use_anchor {
-            for &(t, _) in anchor.entries() {
-                f(ANCHOR_TAG | t.0 as u64);
-            }
-        }
-    }
-}
-
-/// The sparse-kernel contract (see `cafc_cluster::sparse`): similarities
-/// are in `[0, 1]` and a (centroid, item) pair with disjoint key sets has
-/// similarity exactly `0.0`. Both hold here **provided the
-/// [`FeatureConfig`] weights are non-negative, finite, and positively
-/// summed** (the paper's configurations all are): TF-IDF weights are
-/// non-negative, so each per-space cosine of a disjoint pair has dot
-/// product exactly `0.0` (or an empty-vector norm, which short-circuits
-/// to `0.0`), a silent anchor space contributes `None`/`Some(0.0)`, and
-/// Equation 3's weighted average of exact zeros is exactly `0.0`.
-impl SparseClusterSpace for FormPageSpace<'_> {
-    fn for_each_item_term(&self, item: usize, f: &mut dyn FnMut(u64)) {
-        self.for_each_term_key(
-            &self.corpus.pc[item],
-            &self.corpus.fc[item],
-            &self.corpus.anchor[item],
-            f,
-        );
-    }
-
-    fn for_each_centroid_term(&self, centroid: &MultiCentroid, f: &mut dyn FnMut(u64)) {
-        self.for_each_term_key(&centroid.pc, &centroid.fc, &centroid.anchor, f);
     }
 }
 
@@ -358,55 +290,6 @@ mod tests {
         assert_eq!(anchor_cosine(&full, &empty), Some(0.0));
         assert_eq!(anchor_cosine(&empty, &full), Some(0.0));
         assert_eq!(anchor_cosine(&full, &full), Some(1.0));
-    }
-
-    #[test]
-    fn term_keys_respect_feature_config() {
-        let c = corpus();
-        let collect = |config: FeatureConfig| {
-            let space = FormPageSpace::new(&c, config);
-            let mut keys = Vec::new();
-            space.for_each_item_term(0, &mut |k| keys.push(k));
-            keys
-        };
-        let fc_only = collect(FeatureConfig::FcOnly);
-        assert!(!fc_only.is_empty());
-        assert!(
-            fc_only.iter().all(|k| k >> 32 == 1),
-            "FcOnly must enumerate only FC-tagged keys"
-        );
-        let pc_only = collect(FeatureConfig::PcOnly);
-        assert!(pc_only.iter().all(|k| k >> 32 == 0));
-        let combined = collect(FeatureConfig::combined());
-        assert_eq!(combined.len(), fc_only.len() + pc_only.len());
-        // Shared vocabulary across spaces stays distinct under the tags:
-        // a PC key never equals an FC key.
-        assert!(pc_only.iter().all(|k| !fc_only.contains(k)));
-    }
-
-    #[test]
-    fn sparse_kmeans_matches_dense_on_form_pages() {
-        use cafc_cluster::{kmeans_exec, kmeans_sparse_exec, ExecPolicy, KMeansOptions};
-        let c = corpus();
-        for config in [
-            FeatureConfig::FcOnly,
-            FeatureConfig::PcOnly,
-            FeatureConfig::combined(),
-            FeatureConfig::WithAnchors {
-                c1: 1.0,
-                c2: 2.0,
-                c3: 1.0,
-            },
-        ] {
-            let space = FormPageSpace::new(&c, config);
-            let seeds = [vec![0], vec![2]];
-            for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
-                let dense = kmeans_exec(&space, &seeds, &KMeansOptions::strict(), policy);
-                let sparse = kmeans_sparse_exec(&space, &seeds, &KMeansOptions::strict(), policy);
-                assert_eq!(sparse.partition, dense.partition, "{config:?} {policy:?}");
-                assert_eq!(sparse.iterations, dense.iterations, "{config:?} {policy:?}");
-            }
-        }
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //! * the accounting identity — every generated page is ok, degraded or
 //!   quarantined, and the report balances;
 //! * partition validity — every kept page in exactly one cluster;
-//! * sparse ≡ dense — the candidate-index k-means kernel is bit-identical
-//!   to the dense reference on the real `FormPageSpace`;
 //! * policy invariance — `ExecPolicy::Serial` and `Parallel` produce
-//!   byte-identical corpora and partitions.
+//!   byte-identical corpora and k-means partitions on the real
+//!   `FormPageSpace`.
 
 use cafc::{
     ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, KMeansOptions,
     ModelOptions,
 };
-use cafc_cluster::{kmeans_exec, kmeans_sparse_exec, random_singleton_seeds, ClusterSpace};
+use cafc_cluster::{kmeans_exec, random_singleton_seeds, ClusterSpace};
 use cafc_corpus::{generate_sharded, ShardedCorpusConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,30 +75,23 @@ fn run_at(pages: usize) {
         );
     }
 
-    // ---- clustering: sparse ≡ dense ≡ every policy ------------------
+    // ---- clustering: serial ≡ parallel -------------------------------
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let n = space.len();
     assert_eq!(n, report.kept.len());
     let seeds = random_singleton_seeds(&space, K, &mut StdRng::seed_from_u64(SEED));
     let opts = KMeansOptions::default();
-    let dense = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Serial);
-    let sparse = kmeans_sparse_exec(&space, &seeds, &opts, ExecPolicy::Serial);
-    let sparse_par = kmeans_sparse_exec(&space, &seeds, &opts, ExecPolicy::Parallel { threads: 4 });
-
+    let serial = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Serial);
+    let parallel = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Parallel { threads: 4 });
     assert_eq!(
-        dense.partition.clusters(),
-        sparse.partition.clusters(),
-        "sparse kernel diverged from the dense reference"
+        serial.partition.clusters(),
+        parallel.partition.clusters(),
+        "k-means diverged across policies"
     );
-    assert_eq!(dense.iterations, sparse.iterations);
-    assert_eq!(
-        sparse.partition.clusters(),
-        sparse_par.partition.clusters(),
-        "sparse kernel diverged across policies"
-    );
+    assert_eq!(serial.iterations, parallel.iterations);
 
     // Partition validity: every kept page in exactly one cluster.
-    let mut assigned: Vec<usize> = sparse
+    let mut assigned: Vec<usize> = serial
         .partition
         .clusters()
         .iter()
@@ -108,7 +100,7 @@ fn run_at(pages: usize) {
         .collect();
     assigned.sort_unstable();
     assert_eq!(assigned, (0..n).collect::<Vec<_>>());
-    assert!(sparse.partition.num_clusters() <= K);
+    assert!(serial.partition.num_clusters() <= K);
 }
 
 /// The CI smoke leg: 10^4 seeded pages through the whole battery. Set

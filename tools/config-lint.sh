@@ -18,7 +18,6 @@
 #   Bm25Params    -> crates/index/src/bm25.rs
 #   ServeOptions  -> crates/serve/src/server.rs
 #   LoadgenConfig -> crates/serve/src/loadgen.rs
-#   MiniBatchOptions    -> crates/cluster/src/minibatch.rs
 #   BenchConfig         -> crates/core/src/bench.rs
 #   ShardedCorpusConfig -> crates/corpus/src/shard.rs
 #
@@ -40,7 +39,6 @@ declare -A home=(
   [ServeOptions]="crates/serve/src/server.rs"
   [LoadgenConfig]="crates/serve/src/loadgen.rs"
   [StreamConfig]="crates/core/src/stream.rs"
-  [MiniBatchOptions]="crates/cluster/src/minibatch.rs"
   [BenchConfig]="crates/core/src/bench.rs"
   [ShardedCorpusConfig]="crates/corpus/src/shard.rs"
 )
