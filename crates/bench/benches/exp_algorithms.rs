@@ -4,14 +4,16 @@
 //! linkage) and CAFC-CH. All averaged over 10 runs where seeding is
 //! random.
 
-use cafc::{cafc_c, FeatureConfig, KMeansOptions};
+use cafc::ExecPolicy::Serial;
+use cafc::{cafc_c, FeatureConfig, KMeansOptions, Obs};
 use cafc_bench::{mean_quality, print_header, print_row, quality, run_cafc_ch, Bench, K};
 use cafc_cluster::{
-    bisecting_kmeans, hac_from_singletons, kmeans, kmeanspp_seeds, BisectOptions, HacOptions,
-    Linkage,
+    bisecting_kmeans, hac, kmeans, kmeanspp_seeds, BisectOptions, HacOptions, Linkage,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 fn main() {
     print_header(
@@ -28,7 +30,7 @@ fn main() {
             .map(|r| {
                 let mut rng = StdRng::seed_from_u64(r);
                 quality(
-                    &cafc_c(&space, K, &KMeansOptions::default(), &mut rng).partition,
+                    &cafc_c(&space, K, &Default::default(), &mut rng, Serial, NO_OBS).partition,
                     &bench.labels,
                 )
             })
@@ -43,7 +45,7 @@ fn main() {
                 let mut rng = StdRng::seed_from_u64(r);
                 let seeds = kmeanspp_seeds(&space, K, &mut rng);
                 quality(
-                    &kmeans(&space, &seeds, &KMeansOptions::default()).partition,
+                    &kmeans(&space, &seeds, &KMeansOptions::default(), Serial, NO_OBS).partition,
                     &bench.labels,
                 )
             })
@@ -63,6 +65,8 @@ fn main() {
                         ..Default::default()
                     },
                     &mut rng,
+                    Serial,
+                    NO_OBS,
                 );
                 quality(&p, &bench.labels)
             })
@@ -72,12 +76,15 @@ fn main() {
     rows.push(("bisecting", bisect));
 
     let hac_q = quality(
-        &hac_from_singletons(
+        &hac(
             &space,
+            &[],
             &HacOptions {
                 target_clusters: K,
                 linkage: Linkage::Average,
             },
+            Serial,
+            NO_OBS,
         ),
         &bench.labels,
     );

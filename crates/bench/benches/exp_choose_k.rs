@@ -5,12 +5,15 @@
 //! each clustering by mean silhouette (no labels used), and checks whether
 //! the silhouette-optimal `k` recovers the true domain count.
 
-use cafc::{cafc_ch, CafcChConfig, FeatureConfig};
+use cafc::ExecPolicy::Serial;
+use cafc::{cafc_ch, CafcChConfig, FeatureConfig, Obs};
 use cafc_bench::{print_header, quality, Bench};
 use cafc_cluster::mean_silhouette;
 use cafc_obs::json::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 struct Row {
     k: usize,
@@ -46,7 +49,15 @@ fn main() {
     for k in 2..=16 {
         let config = CafcChConfig::paper_default(k);
         let mut rng = StdRng::seed_from_u64(0xC0);
-        let out = cafc_ch(&bench.web.graph, &bench.targets, &space, &config, &mut rng);
+        let out = cafc_ch(
+            &bench.web.graph,
+            &bench.targets,
+            &space,
+            &config,
+            &mut rng,
+            Serial,
+            NO_OBS,
+        );
         // A degenerate partition (undefined silhouette) ranks below every
         // real score.
         let sil = mean_silhouette(&space, &out.outcome.partition).unwrap_or(-1.0);

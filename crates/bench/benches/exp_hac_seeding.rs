@@ -5,9 +5,12 @@
 //! little difference in the F-measure values (0.93 versus 0.96), the
 //! entropy is 60 % higher than the one obtained by CAFC-CH."
 
-use cafc::{FeatureConfig, HacOptions, KMeansOptions, Linkage};
+use cafc::ExecPolicy::Serial;
+use cafc::{FeatureConfig, HacOptions, KMeansOptions, Linkage, Obs};
 use cafc_bench::{print_header, print_row, quality, run_cafc_ch, Bench, K};
 use cafc_cluster::{hac, kmeans};
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 fn main() {
     print_header(
@@ -25,6 +28,8 @@ fn main() {
             target_clusters: K,
             linkage: Linkage::Average,
         },
+        Serial,
+        NO_OBS,
     );
     let seeds: Vec<Vec<usize>> = hac_partition
         .clusters()
@@ -32,7 +37,7 @@ fn main() {
         .filter(|c| !c.is_empty())
         .cloned()
         .collect();
-    let out = kmeans(&space, &seeds, &KMeansOptions::default());
+    let out = kmeans(&space, &seeds, &KMeansOptions::default(), Serial, NO_OBS);
     let hac_seeded = quality(&out.partition, &bench.labels);
     print_row("HAC-seeded k-means", &hac_seeded);
 

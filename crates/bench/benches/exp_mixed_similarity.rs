@@ -10,10 +10,13 @@
 //! without having any weight to tune.
 
 use cafc::baseline::MixedSimilaritySpace;
-use cafc::{cafc_c as kmeans_random, FeatureConfig, KMeansOptions};
+use cafc::ExecPolicy::Serial;
+use cafc::{cafc_c as kmeans_random, FeatureConfig, KMeansOptions, Obs};
 use cafc_bench::{mean_quality, print_header, print_row, quality, run_cafc_ch, Bench, K};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 fn main() {
     print_header(
@@ -30,7 +33,8 @@ fn main() {
             .map(|run| {
                 let mut rng = StdRng::seed_from_u64(0xA1FA + run);
                 let seeds = cafc_cluster::random_singleton_seeds(&mixed, K, &mut rng);
-                let out = cafc_cluster::kmeans(&mixed, &seeds, &KMeansOptions::default());
+                let out =
+                    cafc_cluster::kmeans(&mixed, &seeds, &KMeansOptions::default(), Serial, NO_OBS);
                 quality(&out.partition, &bench.labels)
             })
             .collect();
@@ -41,7 +45,14 @@ fn main() {
 
     // Reference points: pure-text CAFC-C and CAFC-CH.
     let mut rng = StdRng::seed_from_u64(0xA1FA);
-    let c = kmeans_random(&text, K, &KMeansOptions::default(), &mut rng);
+    let c = kmeans_random(
+        &text,
+        K,
+        &KMeansOptions::default(),
+        &mut rng,
+        Serial,
+        NO_OBS,
+    );
     let c_q = quality(&c.partition, &bench.labels);
     print_row("CAFC-C (one run)", &c_q);
     let (ch, _) = run_cafc_ch(&bench, &text, 8, 0xA1FA);

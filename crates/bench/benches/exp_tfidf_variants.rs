@@ -5,8 +5,11 @@
 //! max-norm) and IDF schemes (plain, smooth, probabilistic, none) under
 //! CAFC-CH FC+PC, keeping everything else fixed.
 
-use cafc::{FeatureConfig, FormPageCorpus, FormPageSpace, IdfScheme, ModelOptions, TfScheme};
+use cafc::ExecPolicy::Serial;
+use cafc::{FeatureConfig, FormPageCorpus, FormPageSpace, IdfScheme, ModelOptions, Obs, TfScheme};
 use cafc_bench::{print_header, print_row, run_cafc_ch, Bench};
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 fn main() {
     print_header(
@@ -35,6 +38,8 @@ fn main() {
                 &bench.web.graph,
                 &bench.targets,
                 &ModelOptions::new().with_tf(tf).with_idf(idf),
+                Serial,
+                NO_OBS,
             );
             let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
             let (q, _) = run_cafc_ch(&bench, &space, 8, 0x7F1D);

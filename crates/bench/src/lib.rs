@@ -8,9 +8,10 @@
 
 #![warn(missing_docs)]
 
+use cafc::ExecPolicy::Serial;
 use cafc::{
     cafc_c, cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, KMeansOptions,
-    LocationWeights, ModelOptions, Partition,
+    LocationWeights, ModelOptions, Obs, Partition,
 };
 use cafc_corpus::{generate, CorpusConfig, Domain, SyntheticWeb};
 use cafc_eval::EntropyBase;
@@ -18,6 +19,10 @@ use cafc_obs::json::Value;
 use cafc_webgraph::{HubClusterOptions, PageId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Experiments run serially and unobserved: every number they print is
+/// bit-identical under any execution policy.
+const NO_OBS: &Obs = &Obs::disabled();
 
 /// The paper's cluster count (8 domains).
 pub const K: usize = 8;
@@ -52,14 +57,20 @@ impl Bench {
         let web = generate(config);
         let targets = web.form_page_ids();
         let labels = web.labels();
-        let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
-        let corpus_uniform = FormPageCorpus::from_graph(
-            &web.graph,
-            &targets,
+        let model = |opts: &ModelOptions, anchors: bool| {
+            let build = if anchors {
+                FormPageCorpus::from_graph_with_anchors
+            } else {
+                FormPageCorpus::from_graph
+            };
+            build(&web.graph, &targets, opts, Serial, NO_OBS)
+        };
+        let corpus = model(&ModelOptions::default(), false);
+        let corpus_uniform = model(
             &ModelOptions::new().with_weights(LocationWeights::uniform()),
+            false,
         );
-        let corpus_anchors =
-            FormPageCorpus::from_graph_with_anchors(&web.graph, &targets, &ModelOptions::default());
+        let corpus_anchors = model(&ModelOptions::default(), true);
         Bench {
             web,
             targets,
@@ -125,11 +136,7 @@ pub fn mean_quality(qs: &[Quality]) -> Quality {
 /// CAFC-C averaged over [`CAFC_C_RUNS`] random seedings.
 pub fn run_cafc_c_avg(space: &FormPageSpace<'_>, labels: &[Domain], base_seed: u64) -> Quality {
     let qs: Vec<Quality> = (0..CAFC_C_RUNS)
-        .map(|run| {
-            let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(run));
-            let out = cafc_c(space, K, &KMeansOptions::default(), &mut rng);
-            quality(&out.partition, labels)
-        })
+        .map(|run| quality(&run_cafc_c_once(space, base_seed.wrapping_add(run)), labels))
         .collect();
     mean_quality(&qs)
 }
@@ -137,7 +144,8 @@ pub fn run_cafc_c_avg(space: &FormPageSpace<'_>, labels: &[Domain], base_seed: u
 /// One CAFC-C run (for callers that need the partition itself).
 pub fn run_cafc_c_once(space: &FormPageSpace<'_>, seed: u64) -> Partition {
     let mut rng = StdRng::seed_from_u64(seed);
-    cafc_c(space, K, &KMeansOptions::default(), &mut rng).partition
+    let opts = KMeansOptions::default();
+    cafc_c(space, K, &opts, &mut rng, Serial, NO_OBS).partition
 }
 
 /// CAFC-CH with the given minimum hub-cluster cardinality.
@@ -152,7 +160,8 @@ pub fn run_cafc_ch(
         ..HubClusterOptions::default()
     });
     let mut rng = StdRng::seed_from_u64(seed);
-    let outcome = cafc_ch(&bench.web.graph, &bench.targets, space, &config, &mut rng);
+    let (graph, targets) = (&bench.web.graph, &bench.targets);
+    let outcome = cafc_ch(graph, targets, space, &config, &mut rng, Serial, NO_OBS);
     (quality(&outcome.outcome.partition, &bench.labels), outcome)
 }
 

@@ -61,18 +61,8 @@ impl Default for HacOptions {
 /// `initial` is the starting partition: pass one singleton per item for
 /// classic HAC, or hub clusters plus singletons for the seeded variant.
 /// Items absent from `initial` are added as singletons automatically.
-pub fn hac<S>(space: &S, initial: &[Vec<usize>], opts: &HacOptions) -> Partition
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    hac_exec(space, initial, opts, ExecPolicy::Serial)
-}
-
-/// Run HAC under an explicit execution policy.
 ///
-/// Identical semantics (and bit-identical output) to [`hac`], which
-/// delegates here with [`ExecPolicy::Serial`]. What fans out, per linkage:
+/// What fans out, per linkage:
 ///
 /// * **Centroid:** the initial g(g−1)/2 similarity triangle (by row) and
 ///   each merge's g−2 refreshed similarities. The closest-pair scan over
@@ -81,31 +71,16 @@ where
 ///   by matrix row, with per-row partial argmins merged in row order.
 ///
 /// Either way ties resolve to the lexicographically smallest pair for
-/// every policy — exactly the serial scan order.
-pub fn hac_exec<S>(
-    space: &S,
-    initial: &[Vec<usize>],
-    opts: &HacOptions,
-    policy: ExecPolicy,
-) -> Partition
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    hac_obs(space, initial, opts, policy, &Obs::disabled())
-}
-
-/// Run HAC under an explicit execution policy with instrumentation.
+/// every policy — exactly the serial scan order — so the result is
+/// bit-identical for every policy and whether or not `obs` has a sink.
 ///
-/// Identical semantics (and bit-identical output) to [`hac_exec`], which
-/// delegates here with [`Obs::disabled`]. Emits, when `obs` has a sink:
-/// counter `hac.merges` (one per merge step), gauges `hac.initial_groups`
-/// / `hac.final_groups`, and a `hac.merge_scan` span aggregating the
-/// closest-pair scans. Centroid linkage adds counter
+/// Records counter `hac.merges` (one per merge step), gauges
+/// `hac.initial_groups` / `hac.final_groups`, and a `hac.merge_scan` span
+/// aggregating the closest-pair scans. Centroid linkage adds counter
 /// `hac.similarity_evals` (centroid similarities evaluated); the pairwise
 /// linkages add span `hac.dissimilarity_matrix` for their O(g²)
 /// initialization.
-pub fn hac_obs<S>(
+pub fn hac<S>(
     space: &S,
     initial: &[Vec<usize>],
     opts: &HacOptions,
@@ -123,8 +98,8 @@ where
     }
 }
 
-/// The HAC loop proper, shared by the plain entry points (no checkpointer)
-/// and [`hac_resumable`](crate::hac_resumable): the checkpointer journals
+/// The HAC loop proper, shared by [`hac`] (no checkpointer) and
+/// [`hac_resumable`](crate::hac_resumable): the checkpointer journals
 /// every merge decision and, on resume, replays journaled merges instead
 /// of rerunning the closest-pair scans. Replayed and live merges mutate
 /// the groups identically, so the final partition is bit-identical.
@@ -413,19 +388,13 @@ fn group_distance<S: ClusterSpace>(space: &S, a: &[usize], b: &[usize], linkage:
     }
 }
 
-/// Convenience: classic HAC from singletons.
-pub fn hac_from_singletons<S>(space: &S, opts: &HacOptions) -> Partition
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    hac(space, &[], opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::space::DenseSpace;
+    use crate::ExecPolicy::Serial;
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     fn blobs() -> DenseSpace {
         DenseSpace::new(vec![
@@ -461,12 +430,15 @@ mod tests {
             Linkage::Average,
             Linkage::Centroid,
         ] {
-            let p = hac_from_singletons(
+            let p = hac(
                 &space,
+                &[],
                 &HacOptions {
                     target_clusters: 2,
                     linkage,
                 },
+                Serial,
+                NO_OBS,
             );
             assert_eq!(
                 sorted(&p),
@@ -480,12 +452,15 @@ mod tests {
     fn respects_target_cluster_count() {
         let space = blobs();
         for target in 1..=6 {
-            let p = hac_from_singletons(
+            let p = hac(
                 &space,
+                &[],
                 &HacOptions {
                     target_clusters: target,
                     linkage: Linkage::Average,
                 },
+                Serial,
+                NO_OBS,
             );
             assert_eq!(p.num_clusters(), target);
             assert_eq!(p.num_assigned(), 6);
@@ -503,6 +478,8 @@ mod tests {
                 target_clusters: 2,
                 linkage: Linkage::Centroid,
             },
+            Serial,
+            NO_OBS,
         );
         let cs = sorted(&p);
         assert_eq!(cs, vec![vec![0, 1, 2], vec![3, 4, 5]]);
@@ -519,6 +496,8 @@ mod tests {
                 target_clusters: 4,
                 linkage: Linkage::Average,
             },
+            Serial,
+            NO_OBS,
         );
         // Only 2 groups supplied and target is 4 -> returned unchanged plus
         // nothing (all items covered).
@@ -535,6 +514,8 @@ mod tests {
                 target_clusters: 2,
                 linkage: Linkage::Average,
             },
+            Serial,
+            NO_OBS,
         );
         assert_eq!(p.num_assigned(), 6);
         assert_eq!(p.num_clusters(), 2);
@@ -548,8 +529,8 @@ mod tests {
             linkage: Linkage::Average,
         };
         assert_eq!(
-            hac_from_singletons(&space, &o),
-            hac_from_singletons(&space, &o)
+            hac(&space, &[], &o, Serial, NO_OBS),
+            hac(&space, &[], &o, Serial, NO_OBS)
         );
     }
 
@@ -566,14 +547,14 @@ mod tests {
                 target_clusters: 2,
                 linkage,
             };
-            let baseline = hac_exec(&space, &[], &o, ExecPolicy::Serial);
+            let baseline = hac(&space, &[], &o, Serial, NO_OBS);
             for policy in [
                 ExecPolicy::Parallel { threads: 1 },
                 ExecPolicy::Parallel { threads: 7 },
                 ExecPolicy::Auto,
             ] {
                 assert_eq!(
-                    hac_exec(&space, &[], &o, policy),
+                    hac(&space, &[], &o, policy, NO_OBS),
                     baseline,
                     "{linkage:?} under {policy:?}"
                 );
@@ -593,8 +574,8 @@ mod tests {
                 target_clusters: target,
                 linkage: Linkage::Centroid,
             };
-            let p = hac_obs(&space, &[], &o, ExecPolicy::Parallel { threads: 3 }, &obs);
-            assert_eq!(p, hac_exec(&space, &[], &o, ExecPolicy::Serial));
+            let p = hac(&space, &[], &o, ExecPolicy::Parallel { threads: 3 }, &obs);
+            assert_eq!(p, hac(&space, &[], &o, Serial, NO_OBS));
             let last = (target as u64).max(1);
             let expected = g * (g - 1) / 2 + ((last + 1)..=g).map(|gt| gt - 2).sum::<u64>();
             let evals = obs
@@ -619,12 +600,15 @@ mod tests {
             vec![3.0],
             vec![100.0],
         ]);
-        let p = hac_from_singletons(
+        let p = hac(
             &space,
+            &[],
             &HacOptions {
                 target_clusters: 2,
                 linkage: Linkage::Single,
             },
+            Serial,
+            NO_OBS,
         );
         assert_eq!(sorted(&p), vec![vec![0, 1, 2, 3], vec![4]]);
     }

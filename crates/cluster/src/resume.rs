@@ -81,7 +81,7 @@ fn open_stage(
 }
 
 /// Replays and journals k-means iterations. Lives only inside
-/// [`kmeans_resumable`]; the plain entry points run without one.
+/// [`kmeans_resumable`]; [`kmeans`](crate::kmeans()) runs without one.
 pub(crate) struct KMeansCheckpointer<'s> {
     store: &'s mut Store,
     pending: VecDeque<Vec<u8>>,
@@ -165,7 +165,7 @@ impl KMeansCheckpointer<'_> {
 }
 
 /// Replays and journals HAC merge decisions. Lives only inside
-/// [`hac_resumable`]; the plain entry points run without one.
+/// [`hac_resumable`]; [`hac`](crate::hac()) runs without one.
 pub(crate) struct HacCheckpointer<'s> {
     store: &'s mut Store,
     pending: VecDeque<Vec<u8>>,
@@ -269,7 +269,7 @@ fn hac_fingerprint(n: usize, initial: &[Vec<usize>], opts: &HacOptions) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// [`kmeans_obs`](crate::kmeans_obs) with durable checkpoints: every
+/// [`kmeans`](crate::kmeans()) with durable checkpoints: every
 /// iteration's assignment vector is journaled as it completes, and — when
 /// `resume` is true — journaled iterations replay without recomputing
 /// their O(n·k) similarity pass. A resumed run produces a bit-identical
@@ -301,7 +301,7 @@ where
     kmeans_driver(space, seeds, opts, policy, obs, Some(&mut ckpt))
 }
 
-/// [`hac_obs`](crate::hac_obs) with durable checkpoints: every merge
+/// [`hac`](crate::hac()) with durable checkpoints: every merge
 /// decision is journaled as it is made, and — when `resume` is true —
 /// journaled merges replay without rerunning their closest-pair scans. A
 /// resumed run produces a bit-identical [`Partition`] to an uninterrupted
@@ -330,9 +330,12 @@ where
 mod tests {
     use super::*;
     use crate::hac::hac;
-    use crate::kmeans::kmeans_obs;
+    use crate::kmeans::kmeans;
     use crate::space::DenseSpace;
+    use crate::ExecPolicy::Serial;
     use cafc_store::{ChaosFs, FaultKind, FaultPlan, StdFs, StoreConfig};
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     fn space() -> DenseSpace {
         // Three loose blobs so both algorithms take several steps.
@@ -374,7 +377,7 @@ mod tests {
         let seeds = vec![vec![0], vec![6], vec![12]];
         let opts = KMeansOptions::strict();
         let obs = Obs::enabled();
-        let baseline = kmeans_obs(&space, &seeds, &opts, ExecPolicy::Serial, &obs);
+        let baseline = kmeans(&space, &seeds, &opts, ExecPolicy::Serial, &obs);
         let per_pass = (space.len() * seeds.len()) as u64;
         let iterations = baseline.iterations as u64;
         assert_eq!(similarity_evals(&obs), Some(per_pass * iterations));
@@ -393,15 +396,8 @@ mod tests {
             let mut store =
                 Store::open_with_vfs(Box::new(chaos), &dir, StoreConfig::new(), Obs::disabled())
                     .expect("open");
-            let crashed = kmeans_resumable(
-                &space,
-                &seeds,
-                &opts,
-                ExecPolicy::Serial,
-                &Obs::disabled(),
-                &mut store,
-                false,
-            );
+            let crashed =
+                kmeans_resumable(&space, &seeds, &opts, Serial, NO_OBS, &mut store, false);
             if let Ok(outcome) = crashed {
                 assert_eq!(outcome.partition, baseline.partition);
             }
@@ -455,7 +451,7 @@ mod tests {
                 target_clusters: 3,
                 linkage,
             };
-            let baseline = hac(&space, &[], &opts);
+            let baseline = hac(&space, &[], &opts, Serial, NO_OBS);
             for at in 0..6u64 {
                 let _ = std::fs::remove_dir_all(&dir);
                 let (chaos, _ctl) = ChaosFs::controlled(
@@ -472,30 +468,14 @@ mod tests {
                     Obs::disabled(),
                 )
                 .expect("open");
-                let crashed = hac_resumable(
-                    &space,
-                    &[],
-                    &opts,
-                    ExecPolicy::Serial,
-                    &Obs::disabled(),
-                    &mut store,
-                    false,
-                );
+                let crashed = hac_resumable(&space, &[], &opts, Serial, NO_OBS, &mut store, false);
                 if let Ok(partition) = crashed {
                     assert_eq!(partition, baseline);
                     continue;
                 }
                 let mut store = store_at(&dir);
-                let resumed = hac_resumable(
-                    &space,
-                    &[],
-                    &opts,
-                    ExecPolicy::Serial,
-                    &Obs::disabled(),
-                    &mut store,
-                    true,
-                )
-                .expect("resume");
+                let resumed = hac_resumable(&space, &[], &opts, Serial, NO_OBS, &mut store, true)
+                    .expect("resume");
                 assert_eq!(resumed, baseline, "{linkage:?} crash at op {at}");
             }
         }
@@ -509,22 +489,14 @@ mod tests {
         let opts = KMeansOptions::strict();
         let dir = tmp_dir("fp");
         let mut store = store_at(&dir);
-        kmeans_resumable(
-            &space,
-            &seeds,
-            &opts,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-            &mut store,
-            false,
-        )
-        .expect("first run");
+        kmeans_resumable(&space, &seeds, &opts, Serial, NO_OBS, &mut store, false)
+            .expect("first run");
         let err = kmeans_resumable(
             &space,
             &[vec![0], vec![6]],
             &opts,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
+            Serial,
+            NO_OBS,
             &mut store,
             true,
         )
@@ -543,29 +515,12 @@ mod tests {
             target_clusters: 3,
             linkage: Linkage::Centroid,
         };
-        let baseline = hac(&space, &[], &opts);
+        let baseline = hac(&space, &[], &opts, Serial, NO_OBS);
         let dir = tmp_dir("finished");
         let mut store = store_at(&dir);
-        hac_resumable(
-            &space,
-            &[],
-            &opts,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-            &mut store,
-            false,
-        )
-        .expect("first run");
-        let resumed = hac_resumable(
-            &space,
-            &[],
-            &opts,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-            &mut store,
-            true,
-        )
-        .expect("resume of finished run");
+        hac_resumable(&space, &[], &opts, Serial, NO_OBS, &mut store, false).expect("first run");
+        let resumed = hac_resumable(&space, &[], &opts, Serial, NO_OBS, &mut store, true)
+            .expect("resume of finished run");
         assert_eq!(resumed, baseline);
         let _ = std::fs::remove_dir_all(&dir);
     }

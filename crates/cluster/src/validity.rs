@@ -115,8 +115,12 @@ mod tests {
     use crate::kmeans::{kmeans, KMeansOptions};
     use crate::seed::random_singleton_seeds;
     use crate::space::DenseSpace;
+    use crate::ExecPolicy::Serial;
+    use crate::Obs;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     fn blobs2() -> DenseSpace {
         DenseSpace::new(vec![
@@ -202,6 +206,8 @@ mod tests {
                 &KMeansOptions::new()
                     .with_move_fraction_threshold(1e-9)
                     .with_max_iterations(50),
+                Serial,
+                NO_OBS,
             )
             .partition
         })

@@ -5,12 +5,15 @@
 use cafc_check::corpus::clustering;
 use cafc_check::gen::{f64s, pairs, usizes, vecs, Gen};
 use cafc_check::{check, require, require_eq, CheckConfig};
+use cafc_cluster::ExecPolicy::Serial;
 use cafc_cluster::{
-    greedy_distant_seeds, hac_from_singletons, kmeans, kmeans_exec, random_singleton_seeds,
-    ClusterSpace, DenseSpace, ExecPolicy, HacOptions, KMeansOptions, Linkage,
+    greedy_distant_seeds, kmeans, random_singleton_seeds, ClusterSpace, DenseSpace, ExecPolicy,
+    HacOptions, KMeansOptions, Linkage, Obs,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 /// A selection problem: 2-D points, candidate seed clusters over them, and
 /// a requested seed count.
@@ -86,7 +89,7 @@ where
     S::Centroid: Send + Sync,
 {
     let opts = KMeansOptions::default();
-    let out = kmeans(space, seeds, &opts);
+    let out = kmeans(space, seeds, &opts, Serial, NO_OBS);
     let mut assigned: Vec<usize> = out.partition.clusters().iter().flatten().copied().collect();
     assigned.sort_unstable();
     require_eq!(assigned, (0..space.len()).collect::<Vec<_>>());
@@ -96,7 +99,13 @@ where
         "iterations {} above cap",
         out.iterations
     );
-    let parallel = kmeans_exec(space, seeds, &opts, ExecPolicy::Parallel { threads: 3 });
+    let parallel = kmeans(
+        space,
+        seeds,
+        &opts,
+        ExecPolicy::Parallel { threads: 3 },
+        NO_OBS,
+    );
     require_eq!(out.partition.clusters(), parallel.partition.clusters());
     require_eq!(out.iterations, parallel.iterations);
     require_eq!(out.converged, parallel.converged);
@@ -153,7 +162,13 @@ fn kmeans_degenerate_seeds_fall_back() {
         let n = points.len();
         let space = DenseSpace::new(points.clone());
         let empty_seeds: Vec<Vec<usize>> = vec![Vec::new(), Vec::new()];
-        let out = kmeans(&space, &empty_seeds, &KMeansOptions::default());
+        let out = kmeans(
+            &space,
+            &empty_seeds,
+            &KMeansOptions::default(),
+            Serial,
+            NO_OBS,
+        );
         require_eq!(out.partition.num_clusters(), 1);
         require_eq!(out.partition.clusters()[0].len(), n);
         Ok(())
@@ -304,7 +319,7 @@ fn kmeans_from_singleton_seeds_keeps_k_clusters() {
         let k = (*k).min(space.len());
         let mut rng = StdRng::seed_from_u64(*rng_seed as u64);
         let seeds = random_singleton_seeds(&space, k, &mut rng);
-        let out = kmeans(&space, &seeds, &KMeansOptions::default());
+        let out = kmeans(&space, &seeds, &KMeansOptions::default(), Serial, NO_OBS);
         require_eq!(out.partition.num_clusters(), k);
         let mut assigned: Vec<usize> = out.partition.clusters().iter().flatten().copied().collect();
         assigned.sort_unstable();
@@ -329,12 +344,15 @@ fn hac_reaches_target_under_every_linkage() {
                 Linkage::Average,
                 Linkage::Centroid,
             ] {
-                let p = hac_from_singletons(
+                let p = hac(
                     &space,
+                    &[],
                     &HacOptions {
                         target_clusters: target,
                         linkage,
                     },
+                    Serial,
+                    NO_OBS,
                 );
                 require_eq!(p.num_clusters(), target);
                 require_eq!(p.num_assigned(), space.len());
@@ -353,12 +371,15 @@ fn hac_keeps_separated_blobs_apart() {
     check!(CheckConfig::new(), pairs(&left, &right), |(left, right)| {
         let n_left = left.len();
         let points: Vec<Vec<f64>> = left.iter().chain(right).map(|&x| vec![x]).collect();
-        let p = hac_from_singletons(
+        let p = hac(
             &DenseSpace::new(points),
+            &[],
             &HacOptions {
                 target_clusters: 2,
                 linkage: Linkage::Average,
             },
+            Serial,
+            NO_OBS,
         );
         for c in p.clusters() {
             let one_side = c.iter().all(|&i| i < n_left) || c.iter().all(|&i| i >= n_left);
@@ -373,11 +394,11 @@ fn hac_keeps_separated_blobs_apart() {
 // ---------------------------------------------------------------------
 
 use cafc_check::gen::from_slice;
-use cafc_cluster::{hac_exec, Partition};
+use cafc_cluster::{hac, Partition};
 
 /// Centroid linkage with no similarity cache: after every merge, rescan
 /// all centroid pairs (row-major, strict `>`, first maximum wins). O(g³)
-/// similarity evaluations; kept only as the oracle for `hac_exec`.
+/// similarity evaluations; kept only as the oracle for `hac`.
 /// Returns the partition and the starting group count `g`.
 fn hac_centroid_rescan<S: ClusterSpace>(
     space: &S,
@@ -411,7 +432,7 @@ fn hac_centroid_rescan<S: ClusterSpace>(
     (Partition::new(groups, n), g)
 }
 
-/// `hac_exec` with centroid linkage equals the rescan oracle under every
+/// `hac` with centroid linkage equals the rescan oracle under every
 /// policy, for targets 0, 1 and g−1.
 fn require_centroid_hac_matches_rescan<S>(space: &S, initial: &[Vec<usize>]) -> Result<(), String>
 where
@@ -430,7 +451,7 @@ where
             ExecPolicy::Parallel { threads: 1 },
             ExecPolicy::Parallel { threads: 7 },
         ] {
-            let got = hac_exec(space, initial, &opts, policy);
+            let got = hac(space, initial, &opts, policy, NO_OBS);
             require_eq!(got, expected);
         }
     }

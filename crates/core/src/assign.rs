@@ -41,8 +41,12 @@ pub fn assign_to_clusters(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FormPageCorpus, ModelOptions};
+    use crate::model::FormPageCorpus;
     use crate::space::{FeatureConfig, FormPageSpace};
+    use crate::ExecPolicy::Serial;
+    use crate::Obs;
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     #[test]
     fn assigns_new_pages_to_matching_cluster() {
@@ -56,7 +60,7 @@ mod tests {
             "<p>flights airfare airline travel</p><form>departure <input name=e></form>",
             "<p>employment resume salary careers</p><form>keywords <input name=f></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(pages, &Default::default(), Serial, NO_OBS);
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let partition = Partition::new(vec![vec![0, 1], vec![2, 3]], 6);
         let assigned = assign_to_clusters(&space, &partition, &[4, 5]);
@@ -70,7 +74,7 @@ mod tests {
             "<p>airfare travel</p>",
             "<p>flights airline</p>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(pages, &Default::default(), Serial, NO_OBS);
         let space = FormPageSpace::new(&corpus, FeatureConfig::PcOnly);
         let partition = Partition::new(vec![vec![], vec![0, 1]], 3);
         let assigned = assign_to_clusters(&space, &partition, &[2]);
@@ -80,7 +84,7 @@ mod tests {
     #[test]
     fn zero_overlap_page_goes_to_the_first_cluster_like_kmeans() {
         use crate::incremental::IncrementalClusters;
-        use cafc_cluster::{kmeans_exec, ExecPolicy, KMeansOptions};
+        use cafc_cluster::{kmeans, KMeansOptions};
         // Page 2 shares no term with either cluster, so both similarities
         // are exactly 0.0: the tie must resolve to cluster 0 everywhere.
         let pages = [
@@ -88,14 +92,14 @@ mod tests {
             "<p>careers salary</p><form>keywords <input name=b></form>",
             "<p>zebra quartz</p><form>volcano <input name=c></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(pages, &Default::default(), Serial, NO_OBS);
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
         for seed in [0, 1] {
             assert_eq!(space.similarity(&space.centroid(&[seed]), 2), 0.0);
         }
         let seeds = [vec![0], vec![1]];
         let one_pass = KMeansOptions::new().with_max_iterations(1);
-        let km = kmeans_exec(&space, &seeds, &one_pass, ExecPolicy::Serial);
+        let km = kmeans(&space, &seeds, &one_pass, Serial, NO_OBS);
         assert_eq!(km.partition.clusters(), &[vec![0, 2], vec![1]]);
 
         let partition = Partition::new(seeds.to_vec(), 3);
@@ -107,7 +111,7 @@ mod tests {
     #[test]
     fn empty_partition_assigns_nothing() {
         let pages = ["<p>x y z</p>"];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(pages, &Default::default(), Serial, NO_OBS);
         let space = FormPageSpace::new(&corpus, FeatureConfig::PcOnly);
         let partition = Partition::new(vec![vec![]], 1);
         assert!(assign_to_clusters(&space, &partition, &[0]).is_empty());

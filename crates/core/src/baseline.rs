@@ -116,9 +116,13 @@ impl ClusterSpace for MixedSimilaritySpace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FormPageCorpus, ModelOptions};
+    use crate::model::FormPageCorpus;
     use crate::space::FeatureConfig;
+    use crate::ExecPolicy::Serial;
+    use crate::Obs;
     use cafc_webgraph::Url;
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     fn fixture() -> (WebGraph, Vec<PageId>) {
         let mut g = WebGraph::new();
@@ -145,7 +149,7 @@ mod tests {
     #[test]
     fn link_component_detects_cocitation() {
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(&g, &targets, &Default::default(), Serial, NO_OBS);
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         // alpha = 0: pure link similarity.
         let space = MixedSimilaritySpace::new(text, &g, &targets, 100, 0.0);
@@ -156,7 +160,7 @@ mod tests {
     #[test]
     fn alpha_one_equals_text_space() {
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(&g, &targets, &Default::default(), Serial, NO_OBS);
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let mixed = MixedSimilaritySpace::new(text, &g, &targets, 100, 1.0);
         for a in 0..4 {
@@ -169,7 +173,7 @@ mod tests {
     #[test]
     fn mixed_similarity_interpolates() {
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(&g, &targets, &Default::default(), Serial, NO_OBS);
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let t = text.item_similarity(0, 1);
         let mixed = MixedSimilaritySpace::new(text, &g, &targets, 100, 0.5);
@@ -181,7 +185,7 @@ mod tests {
     fn kmeans_runs_on_mixed_space() {
         use cafc_cluster::{kmeans, KMeansOptions};
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(&g, &targets, &Default::default(), Serial, NO_OBS);
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let space = MixedSimilaritySpace::new(text, &g, &targets, 100, 0.5);
         let out = kmeans(
@@ -190,6 +194,8 @@ mod tests {
             &KMeansOptions::new()
                 .with_move_fraction_threshold(1e-9)
                 .with_max_iterations(50),
+            Serial,
+            NO_OBS,
         );
         let clusters = out.partition.clusters();
         assert_eq!(clusters[0], vec![0, 1]);
@@ -200,7 +206,7 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn rejects_bad_alpha() {
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(&g, &targets, &Default::default(), Serial, NO_OBS);
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         MixedSimilaritySpace::new(text, &g, &targets, 100, 1.5);
     }

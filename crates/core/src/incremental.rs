@@ -137,8 +137,12 @@ impl IncrementalClusters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FormPageCorpus, ModelOptions};
+    use crate::model::FormPageCorpus;
     use crate::space::FeatureConfig;
+    use crate::ExecPolicy::Serial;
+    use crate::Obs;
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     /// 4 seed pages in two domains + 4 new arrivals (2 per domain).
     fn fixture() -> FormPageCorpus {
@@ -153,7 +157,7 @@ mod tests {
             "<p>travel airfare airline vacation</p><form>cabin <input name=g></form>",
             "<p>resume employment salary careers</p><form>industry <input name=h></form>",
         ];
-        FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default())
+        FormPageCorpus::from_html(pages, &Default::default(), Serial, NO_OBS)
     }
 
     #[test]

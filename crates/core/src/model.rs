@@ -183,37 +183,15 @@ impl FormPageCorpus {
     }
 
     /// Build the model from raw HTML documents.
-    pub fn from_html<'a, I>(pages: I, opts: &ModelOptions) -> FormPageCorpus
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        Self::from_html_exec(pages, opts, ExecPolicy::Serial)
-    }
-
-    /// Build the model from raw HTML documents under an explicit execution
-    /// policy.
     ///
-    /// Bit-identical to [`FormPageCorpus::from_html`] (which delegates here
-    /// with [`ExecPolicy::Serial`]) for every policy: pages are vectorized
-    /// in fixed-size chunks against chunk-local term dictionaries, and the
-    /// chunks are re-based onto the shared dictionary in chunk order, which
-    /// reproduces the serial first-occurrence id assignment exactly.
-    pub fn from_html_exec<'a, I>(
-        pages: I,
-        opts: &ModelOptions,
-        policy: ExecPolicy,
-    ) -> FormPageCorpus
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        Self::from_html_obs(pages, opts, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_html_exec`] with instrumentation (which
-    /// delegates here with [`Obs::disabled`]): spans `corpus.vectorize` and
+    /// Bit-identical for every policy and whether or not `obs` has a sink:
+    /// pages are vectorized in fixed-size chunks against chunk-local term
+    /// dictionaries, and the chunks are re-based onto the shared dictionary
+    /// in chunk order, which reproduces the serial first-occurrence id
+    /// assignment exactly. Records spans `corpus.vectorize` and
     /// `corpus.tfidf`, per-chunk `corpus.vectorize.*` metrics, and gauges
     /// `corpus.pages` / `corpus.terms`.
-    pub fn from_html_obs<'a, I>(
+    pub fn from_html<'a, I>(
         pages: I,
         opts: &ModelOptions,
         policy: ExecPolicy,
@@ -251,48 +229,20 @@ impl FormPageCorpus {
     /// contributing degenerate vectors.
     ///
     /// `report.kept[i]` gives the input index of corpus page `i`, and
-    /// `report.is_accounted()` always holds on return.
-    pub fn from_html_ingest<'a, I>(
-        pages: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        Self::from_html_ingest_exec(pages, opts, limits, ExecPolicy::Serial)
-    }
-
-    /// Hardened ingestion under an explicit execution policy.
+    /// `report.is_accounted()` always holds on return. Bit-identical for
+    /// every policy and whether or not `obs` has a sink: page outcomes are
+    /// produced per fixed-size chunk and concatenated in chunk order, so the
+    /// outcome sequence, the quarantine order and the `kept` mapping never
+    /// depend on the thread count.
     ///
-    /// Bit-identical to [`FormPageCorpus::from_html_ingest`] (which
-    /// delegates here with [`ExecPolicy::Serial`]) for every policy: page
-    /// outcomes are produced per fixed-size chunk and concatenated in chunk
-    /// order, so the outcome sequence, the quarantine order and the
-    /// `kept` mapping never depend on the thread count — and
-    /// `report.is_accounted()` always holds on return.
-    pub fn from_html_ingest_exec<'a, I>(
-        pages: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-        policy: ExecPolicy,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        Self::from_html_ingest_obs(pages, opts, limits, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_html_ingest_exec`] with instrumentation
-    /// (which delegates here with [`Obs::disabled`]): an `ingest` span,
-    /// per-chunk `ingest.*` metrics, per-page `ingest.sanitize_us` /
-    /// `ingest.parse_us` / `ingest.analyze_us` histograms (recorded by
-    /// worker threads — safe, counters and histograms aggregate
-    /// commutatively), outcome counters `ingest.pages_total` /
-    /// `ingest.pages_ok` / `ingest.pages_degraded` /
-    /// `ingest.pages_quarantined`, and one `ingest.degraded.<label>`
-    /// counter per [`DegradedReason`] observed.
-    pub fn from_html_ingest_obs<'a, I>(
+    /// Records an `ingest` span, per-chunk `ingest.*` metrics, per-page
+    /// `ingest.sanitize_us` / `ingest.parse_us` / `ingest.analyze_us`
+    /// histograms (recorded by worker threads — safe, counters and
+    /// histograms aggregate commutatively), outcome counters
+    /// `ingest.pages_total` / `ingest.pages_ok` / `ingest.pages_degraded` /
+    /// `ingest.pages_quarantined`, and one `ingest.degraded.<label>` counter
+    /// per [`DegradedReason`] observed.
+    pub fn from_html_ingest<'a, I>(
         pages: I,
         opts: &ModelOptions,
         limits: &IngestLimits,
@@ -338,36 +288,9 @@ impl FormPageCorpus {
     /// [`FormPageCorpus::from_html_ingest`] over the concatenated pages,
     /// for **any** partition of the input into shards and any
     /// [`IngestLimits::shard_pages`] value (pinned by `tests/scale.rs` and
-    /// the cafc-check properties).
+    /// the cafc-check properties). Records the `ingest` span and `ingest.*`
+    /// metrics of [`FormPageCorpus::from_html_ingest`].
     pub fn from_shards<I>(
-        shards: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = Vec<String>>,
-    {
-        Self::from_shards_exec(shards, opts, limits, ExecPolicy::Serial)
-    }
-
-    /// [`FormPageCorpus::from_shards`] under an explicit execution policy;
-    /// bit-identical for every policy.
-    pub fn from_shards_exec<I>(
-        shards: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-        policy: ExecPolicy,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = Vec<String>>,
-    {
-        Self::from_shards_obs(shards, opts, limits, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_shards_exec`] with instrumentation — the
-    /// `ingest` span and `ingest.*` metrics of
-    /// [`FormPageCorpus::from_html_ingest_obs`].
-    pub fn from_shards_obs<I>(
         shards: I,
         opts: &ModelOptions,
         limits: &IngestLimits,
@@ -398,31 +321,9 @@ impl FormPageCorpus {
     }
 
     /// Build the model for `pages` stored in `graph`, without anchor text.
-    pub fn from_graph(graph: &WebGraph, pages: &[PageId], opts: &ModelOptions) -> FormPageCorpus {
-        Self::from_graph_impl(
-            graph,
-            pages,
-            opts,
-            false,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-        )
-    }
-
-    /// Graph construction under an explicit execution policy; bit-identical
-    /// to [`FormPageCorpus::from_graph`] for every policy.
-    pub fn from_graph_exec(
-        graph: &WebGraph,
-        pages: &[PageId],
-        opts: &ModelOptions,
-        policy: ExecPolicy,
-    ) -> FormPageCorpus {
-        Self::from_graph_impl(graph, pages, opts, false, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_graph_exec`] with instrumentation — the
-    /// `corpus.*` spans and metrics of [`FormPageCorpus::from_html_obs`].
-    pub fn from_graph_obs(
+    /// Bit-identical for every policy; records the `corpus.*` spans and
+    /// metrics of [`FormPageCorpus::from_html`].
+    pub fn from_graph(
         graph: &WebGraph,
         pages: &[PageId],
         opts: &ModelOptions,
@@ -434,38 +335,10 @@ impl FormPageCorpus {
 
     /// Build the model plus the §6 anchor-text extension: for each target
     /// page, the text of every in-link anchor pointing at it (from the hub
-    /// pages' HTML) forms a third feature space.
-    pub fn from_graph_with_anchors(
-        graph: &WebGraph,
-        pages: &[PageId],
-        opts: &ModelOptions,
-    ) -> FormPageCorpus {
-        Self::from_graph_impl(
-            graph,
-            pages,
-            opts,
-            true,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-        )
-    }
-
-    /// Graph-plus-anchors construction under an explicit execution policy;
-    /// bit-identical to [`FormPageCorpus::from_graph_with_anchors`] for
-    /// every policy.
-    pub fn from_graph_with_anchors_exec(
-        graph: &WebGraph,
-        pages: &[PageId],
-        opts: &ModelOptions,
-        policy: ExecPolicy,
-    ) -> FormPageCorpus {
-        Self::from_graph_impl(graph, pages, opts, true, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_graph_with_anchors_exec`] with
-    /// instrumentation — additionally wraps the in-link anchor pass in a
+    /// pages' HTML) forms a third feature space. Bit-identical for every
+    /// policy; additionally wraps the in-link anchor pass in a
     /// `corpus.anchors` span.
-    pub fn from_graph_with_anchors_obs(
+    pub fn from_graph_with_anchors(
         graph: &WebGraph,
         pages: &[PageId],
         opts: &ModelOptions,
@@ -933,9 +806,20 @@ pub(crate) fn ingest_document(
 mod tests {
     use super::*;
     use crate::ingest::{DegradedReason, IngestError, IngestLimits, PageOutcome};
+    use crate::ExecPolicy::Serial;
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     fn opts() -> ModelOptions {
         ModelOptions::default()
+    }
+
+    fn build(pages: &[&str]) -> FormPageCorpus {
+        FormPageCorpus::from_html(pages.iter().copied(), &opts(), Serial, NO_OBS)
+    }
+
+    fn ingest(pages: &[&str], limits: &IngestLimits) -> (FormPageCorpus, IngestReport) {
+        FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), limits, Serial, NO_OBS)
     }
 
     #[test]
@@ -944,7 +828,7 @@ mod tests {
             "<title>Cheap Flights</title><p>airfare deals</p><form>Departure <input name=d></form>",
             "<title>Job Search</title><p>careers employment</p><form>Keywords <input name=k></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = build(&pages);
         assert_eq!(corpus.len(), 2);
         // FC vectors contain only form vocabulary.
         let departure = corpus
@@ -967,7 +851,7 @@ mod tests {
             "<form>departure city <input name=a></form>",
             "<p>something else entirely different</p><form><input name=b></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = build(&pages);
         let departure = corpus.dict.get("departur").expect("interned");
         assert!(
             corpus.pc[0].get(departure) > 0.0,
@@ -983,7 +867,7 @@ mod tests {
             "<p>privacy flights flights</p><form><input name=a></form>",
             "<p>privacy jobs</p><form><input name=b></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = build(&pages);
         assert_eq!(corpus.pc_tf.len(), corpus.len());
         let privacy = corpus.dict.get("privaci").expect("interned");
         assert_eq!(corpus.pc[0].get(privacy), 0.0, "idf-0 term dropped from pc");
@@ -999,7 +883,7 @@ mod tests {
             "<p>privacy flights</p><form><input name=a></form>",
             "<p>privacy jobs</p><form><input name=b></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = build(&pages);
         let privacy = corpus.dict.get("privaci").expect("interned");
         assert_eq!(corpus.pc[0].get(privacy), 0.0);
         assert_eq!(corpus.pc[1].get(privacy), 0.0);
@@ -1014,7 +898,7 @@ mod tests {
             "<p>flights y</p>",
             "<p>unrelated z</p>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = build(&pages);
         let flights = corpus.dict.get("flight").expect("interned");
         assert!(
             corpus.pc[0].get(flights) > corpus.pc[1].get(flights),
@@ -1026,7 +910,7 @@ mod tests {
     fn uniform_weights_remove_location_effect() {
         let pages = ["<title>flights</title>", "<p>flights</p>", "<p>other</p>"];
         let o = opts().with_weights(LocationWeights::uniform());
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &o);
+        let corpus = FormPageCorpus::from_html(pages, &o, Serial, NO_OBS);
         let flights = corpus.dict.get("flight").expect("interned");
         assert!((corpus.pc[0].get(flights) - corpus.pc[1].get(flights)).abs() < 1e-12);
     }
@@ -1037,13 +921,13 @@ mod tests {
             "<form><select><option>texas</option></select> texas <input name=a></form>",
             "<form><input name=b></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = build(&pages);
         let texas = corpus.dict.get("texa").expect("interned");
         // One occurrence at weight 0.5 (option) + one at 1.0 (form text)
         // = 1.5x idf; with uniform weights it would be 2x idf.
         let differentiated = corpus.fc[0].get(texas);
         let o = opts().with_weights(LocationWeights::uniform());
-        let uniform_corpus = FormPageCorpus::from_html(pages.iter().copied(), &o);
+        let uniform_corpus = FormPageCorpus::from_html(pages, &o, Serial, NO_OBS);
         let uniform = uniform_corpus.fc[0].get(texas);
         assert!(differentiated < uniform);
     }
@@ -1061,7 +945,8 @@ mod tests {
             r#"<a href="http://a.com/f">discount airfare tickets</a>"#.into(),
         );
         g.add_link(hub, target);
-        let corpus = FormPageCorpus::from_graph_with_anchors(&g, &[target], &opts());
+        let corpus =
+            FormPageCorpus::from_graph_with_anchors(&g, &[target], &opts(), Serial, NO_OBS);
         assert_eq!(corpus.len(), 1);
         // Anchor vocabulary was collected... but with a single page the idf
         // of every anchor term is ln(1/1)=0. Build with two pages instead.
@@ -1074,7 +959,13 @@ mod tests {
             r#"<a href="http://b.com/f">engineering jobs board</a>"#.into(),
         );
         g.add_link(hub2, target2);
-        let corpus = FormPageCorpus::from_graph_with_anchors(&g, &[target, target2], &opts());
+        let corpus = FormPageCorpus::from_graph_with_anchors(
+            &g,
+            &[target, target2],
+            &opts(),
+            Serial,
+            NO_OBS,
+        );
         let airfare = corpus.dict.get("airfar").expect("anchor term interned");
         assert!(corpus.anchor[0].get(airfare) > 0.0);
         assert_eq!(corpus.anchor[1].get(airfare), 0.0);
@@ -1088,21 +979,21 @@ mod tests {
             Url::parse("http://a.com/f").expect("url"),
             "<form><input name=q></form>".into(),
         );
-        let corpus = FormPageCorpus::from_graph(&g, &[p], &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(&g, &[p], &Default::default(), Serial, NO_OBS);
         assert!(corpus.anchor[0].is_empty());
     }
 
     #[test]
     fn empty_corpus() {
-        let corpus = FormPageCorpus::from_html(std::iter::empty(), &ModelOptions::default());
+        let corpus =
+            FormPageCorpus::from_html(std::iter::empty(), &Default::default(), Serial, NO_OBS);
         assert!(corpus.is_empty());
     }
 
     #[test]
     fn ingest_clean_page_is_ok() {
         let pages = ["<title>Flights</title><p>airfare</p><form>depart <input name=d></form>"];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &Default::default());
+        let (corpus, report) = ingest(&pages, &Default::default());
         assert_eq!(corpus.len(), 1);
         assert_eq!(report.outcomes, vec![PageOutcome::Ok]);
         assert_eq!(report.kept, vec![0]);
@@ -1117,8 +1008,7 @@ mod tests {
             .with_soft_max_bytes(16)
             .with_max_terms(1000);
         let pages = ["", "<!-- only a comment -->", big.as_str()];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &limits);
+        let (corpus, report) = ingest(&pages, &limits);
         assert!(corpus.is_empty());
         assert_eq!(report.quarantined(), 3);
         assert!(report.is_accounted());
@@ -1137,8 +1027,7 @@ mod tests {
     fn ingest_degrades_but_keeps() {
         // No title, no form -> two degradation reasons, page kept.
         let pages = ["<p>airfare deals and cheap flights</p>"];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &Default::default());
+        let (corpus, report) = ingest(&pages, &Default::default());
         assert_eq!(corpus.len(), 1);
         match &report.outcomes[0] {
             PageOutcome::Degraded { reasons } => {
@@ -1158,8 +1047,7 @@ mod tests {
         );
         let limits = IngestLimits::new().with_soft_max_bytes(256);
         let pages = [body.as_str()];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &limits);
+        let (corpus, report) = ingest(&pages, &limits);
         assert_eq!(corpus.len(), 1);
         match &report.outcomes[0] {
             PageOutcome::Degraded { reasons } => {
@@ -1177,8 +1065,7 @@ mod tests {
         );
         let limits = IngestLimits::new().with_max_terms(8);
         let pages = [body.as_str()];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &limits);
+        let (corpus, report) = ingest(&pages, &limits);
         assert_eq!(corpus.len(), 1);
         match &report.outcomes[0] {
             PageOutcome::Degraded { reasons } => {
@@ -1203,22 +1090,18 @@ mod tests {
             })
             .collect();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
-        let baseline = FormPageCorpus::from_html_ingest_exec(
-            refs.iter().copied(),
-            &opts(),
-            &IngestLimits::new(),
-            ExecPolicy::Serial,
-        );
+        let baseline = ingest(&refs, &IngestLimits::new());
         for policy in [
             ExecPolicy::Parallel { threads: 1 },
             ExecPolicy::Parallel { threads: 7 },
             ExecPolicy::Auto,
         ] {
-            let (corpus, report) = FormPageCorpus::from_html_ingest_exec(
+            let (corpus, report) = FormPageCorpus::from_html_ingest(
                 refs.iter().copied(),
                 &opts(),
                 &IngestLimits::new(),
                 policy,
+                NO_OBS,
             );
             assert_eq!(report, baseline.1, "{policy:?}");
             assert_eq!(corpus.dict.len(), baseline.0.dict.len(), "{policy:?}");
@@ -1240,17 +1123,12 @@ mod tests {
             .collect();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         // Establish the per-page cost, then budget for exactly two pages.
-        let (_, unbounded) =
-            FormPageCorpus::from_html_ingest(refs.iter().copied(), &opts(), &IngestLimits::new());
+        let (_, unbounded) = ingest(&refs, &IngestLimits::new());
         assert_eq!(unbounded.kept.len(), 6);
         // A zero budget quarantines everything and reports each page's
         // exact cost in the error, so the test needs no knowledge of the
         // analyzer's term counts.
-        let (_, zero) = FormPageCorpus::from_html_ingest(
-            refs.iter().copied(),
-            &opts(),
-            &IngestLimits::new().with_max_corpus_bytes(0),
-        );
+        let (_, zero) = ingest(&refs, &IngestLimits::new().with_max_corpus_bytes(0));
         let costs: Vec<usize> = zero
             .outcomes
             .iter()
@@ -1263,8 +1141,7 @@ mod tests {
             .collect();
         assert!(costs.iter().all(|&c| c > 0));
         let limits = IngestLimits::new().with_max_corpus_bytes(costs[0] + costs[1]);
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(refs.iter().copied(), &opts(), &limits);
+        let (corpus, report) = ingest(&refs, &limits);
         assert_eq!(corpus.len(), 2, "budget for two pages keeps two pages");
         assert_eq!(report.kept, vec![0, 1]);
         assert_eq!(report.quarantined(), 4);
@@ -1294,18 +1171,18 @@ mod tests {
             .collect();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         let base_limits = IngestLimits::new().with_max_corpus_bytes(1200);
-        let baseline =
-            FormPageCorpus::from_html_ingest(refs.iter().copied(), &opts(), &base_limits);
+        let baseline = ingest(&refs, &base_limits);
         assert!(baseline.1.quarantined() > 0, "budget must actually bind");
         assert!(!baseline.1.kept.is_empty());
         for shard_pages in [1, 3, 16, 100] {
             for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 5 }] {
                 let limits = base_limits.with_shard_pages(shard_pages);
-                let (corpus, report) = FormPageCorpus::from_html_ingest_exec(
+                let (corpus, report) = FormPageCorpus::from_html_ingest(
                     refs.iter().copied(),
                     &opts(),
                     &limits,
                     policy,
+                    NO_OBS,
                 );
                 assert_eq!(report, baseline.1, "shard_pages={shard_pages} {policy:?}");
                 assert_eq!(corpus.dict.len(), baseline.0.dict.len());
@@ -1335,7 +1212,7 @@ mod tests {
             .collect();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         let limits = IngestLimits::new();
-        let baseline = FormPageCorpus::from_html_ingest(refs.iter().copied(), &opts(), &limits);
+        let baseline = ingest(&refs, &limits);
         // Partitions including empty and singleton shards (satellite edge
         // cases): every one must reproduce the single-batch build exactly.
         let partitions: Vec<Vec<Vec<String>>> = vec![
@@ -1352,7 +1229,7 @@ mod tests {
         for (which, shards) in partitions.into_iter().enumerate() {
             for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 4 }] {
                 let (corpus, report) =
-                    FormPageCorpus::from_shards_exec(shards.clone(), &opts(), &limits, policy);
+                    FormPageCorpus::from_shards(shards.clone(), &opts(), &limits, policy, NO_OBS);
                 assert_eq!(report, baseline.1, "partition {which} {policy:?}");
                 assert_eq!(corpus.dict.len(), baseline.0.dict.len());
                 for i in 0..corpus.len() {
@@ -1373,6 +1250,8 @@ mod tests {
             vec![Vec::new(), Vec::new()],
             &opts(),
             &IngestLimits::new(),
+            Serial,
+            NO_OBS,
         );
         assert!(corpus.is_empty());
         assert_eq!(report.total(), 0);
@@ -1382,8 +1261,7 @@ mod tests {
     #[test]
     fn ingest_control_chars_reported() {
         let pages = ["<title>flights</title>\u{0}<form>departure <input name=a></form>"];
-        let (_, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &Default::default());
+        let (_, report) = ingest(&pages, &Default::default());
         match &report.outcomes[0] {
             PageOutcome::Degraded { reasons } => {
                 assert!(reasons.contains(&DegradedReason::ControlCharsStripped))

@@ -241,7 +241,7 @@ fn run_fingerprint(pages: &[&str], opts: &ModelOptions, limits: &IngestLimits) -
 }
 
 impl FormPageCorpus {
-    /// [`FormPageCorpus::from_html_ingest_obs`] with durable checkpoints:
+    /// [`FormPageCorpus::from_html_ingest`] with durable checkpoints:
     /// pages are ingested in `store.config().checkpoint_every`-sized
     /// batches (rounded up to whole vectorization chunks), the accumulated
     /// dictionary/counts/report are snapshotted after each batch, and —
@@ -363,7 +363,10 @@ impl FormPageCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecPolicy::Serial;
     use cafc_store::{ChaosFs, FaultKind, FaultPlan, StdFs, StoreConfig};
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     fn pages() -> Vec<String> {
         (0..40)
@@ -406,8 +409,13 @@ mod tests {
         let pages = pages();
         let opts = ModelOptions::default();
         let limits = IngestLimits::default();
-        let baseline =
-            FormPageCorpus::from_html_ingest(pages.iter().map(String::as_str), &opts, &limits);
+        let baseline = FormPageCorpus::from_html_ingest(
+            pages.iter().map(String::as_str),
+            &opts,
+            &limits,
+            Serial,
+            NO_OBS,
+        );
 
         let dir = tmp_dir("clean");
         let mut store = Store::open(
@@ -420,8 +428,8 @@ mod tests {
             pages.iter().map(String::as_str),
             &opts,
             &limits,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
+            Serial,
+            NO_OBS,
             &mut store,
             false,
         )
@@ -435,8 +443,13 @@ mod tests {
         let pages = pages();
         let opts = ModelOptions::default();
         let limits = IngestLimits::default();
-        let baseline =
-            FormPageCorpus::from_html_ingest(pages.iter().map(String::as_str), &opts, &limits);
+        let baseline = FormPageCorpus::from_html_ingest(
+            pages.iter().map(String::as_str),
+            &opts,
+            &limits,
+            Serial,
+            NO_OBS,
+        );
 
         let dir = tmp_dir("crash");
         for at in [1u64, 3, 5, 8] {
@@ -459,8 +472,8 @@ mod tests {
                 pages.iter().map(String::as_str),
                 &opts,
                 &limits,
-                ExecPolicy::Serial,
-                &Obs::disabled(),
+                Serial,
+                NO_OBS,
                 &mut store,
                 false,
             );
@@ -478,8 +491,8 @@ mod tests {
                 pages.iter().map(String::as_str),
                 &opts,
                 &limits,
-                ExecPolicy::Serial,
-                &Obs::disabled(),
+                Serial,
+                NO_OBS,
                 &mut store,
                 true,
             )
@@ -500,8 +513,8 @@ mod tests {
             pages.iter().map(String::as_str),
             &opts,
             &limits,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
+            Serial,
+            NO_OBS,
             &mut store,
             false,
         )
@@ -510,8 +523,8 @@ mod tests {
             pages.iter().rev().map(String::as_str),
             &opts,
             &limits,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
+            Serial,
+            NO_OBS,
             &mut store,
             true,
         )

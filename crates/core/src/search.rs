@@ -481,6 +481,9 @@ fn combine(a: ScanStats, b: ScanStats) -> ScanStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecPolicy::Serial;
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     fn pages() -> Vec<&'static str> {
         vec![
@@ -496,7 +499,7 @@ mod tests {
     }
 
     fn corpus() -> FormPageCorpus {
-        FormPageCorpus::from_html(pages(), &crate::ModelOptions::default())
+        FormPageCorpus::from_html(pages(), &crate::ModelOptions::default(), Serial, NO_OBS)
     }
 
     fn partition() -> Partition {

@@ -152,7 +152,11 @@ impl ClusterSpace for FormPageSpace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FormPageCorpus, ModelOptions};
+    use crate::model::FormPageCorpus;
+    use crate::ExecPolicy::Serial;
+    use crate::Obs;
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     fn corpus() -> FormPageCorpus {
         // Two airfare-ish pages, one job page. Body text differs from form
@@ -165,7 +169,7 @@ mod tests {
             "<title>Jobs</title><p>careers employment salary resume</p>\
              <form>keywords category location <input name=c></form>",
         ];
-        FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default())
+        FormPageCorpus::from_html(pages, &Default::default(), Serial, NO_OBS)
     }
 
     #[test]
@@ -188,7 +192,7 @@ mod tests {
             "<p>careers salary resume</p><form>departure city <input name=b></form>",
             "<p>third page noise words</p><form>other things <input name=c></form>",
         ];
-        let c = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let c = FormPageCorpus::from_html(pages, &Default::default(), Serial, NO_OBS);
         let fc_space = FormPageSpace::new(&c, FeatureConfig::FcOnly);
         let sim = fc_space.item_similarity(0, 1);
         assert!(

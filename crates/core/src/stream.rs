@@ -33,7 +33,7 @@ use crate::incremental::IncrementalClusters;
 use crate::ingest::{IngestLimits, PageOutcome};
 use crate::model::{ingest_document, FormPageCorpus, ModelOptions};
 use crate::space::{FeatureConfig, FormPageSpace};
-use cafc_cluster::{kmeans_obs, ClusterSpace, KMeansOptions, Partition};
+use cafc_cluster::{kmeans, ClusterSpace, KMeansOptions, Partition};
 use cafc_exec::{par_map_slice, ExecPolicy};
 use cafc_html::{strip_control_chars, StreamingParser};
 use cafc_obs::Obs;
@@ -361,7 +361,7 @@ impl StreamCorpus {
                 .filter(|m| !m.is_empty())
                 .cloned()
                 .collect();
-            let outcome = kmeans_obs(
+            let outcome = kmeans(
                 &space,
                 &seeds,
                 &KMeansOptions::new().with_max_iterations(self.config.recluster_iterations),
@@ -438,7 +438,10 @@ impl StreamCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecPolicy::Serial;
     use cafc_obs::Obs;
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     const AIRFARE: [&str; 2] = [
         "<p>airfare flights travel airline deals</p><form>departure <input name=a></form>",
@@ -452,7 +455,7 @@ mod tests {
     /// Batch-build the 4 seed pages and wrap them for streaming.
     fn seeded(config: StreamConfig, obs: Obs) -> StreamCorpus {
         let pages = AIRFARE.iter().chain(CAREERS.iter()).copied();
-        let corpus = FormPageCorpus::from_html(pages, &config.opts);
+        let corpus = FormPageCorpus::from_html(pages, &config.opts, Serial, NO_OBS);
         let partition = Partition::new(vec![vec![0, 1], vec![2, 3]], 4);
         StreamCorpus::new(corpus, &partition, config, obs)
     }

@@ -41,8 +41,16 @@ pub use domain::{Domain, GENERIC_TERMS};
 pub use export::{export_web, load_web, LoadedWeb, ManifestPage};
 pub use formgen::{LabelStyle, NonSearchableKind};
 pub use mutate::{mutate_page, page_rng, Mutation};
-pub use shard::{
-    generate_page, generate_shard, generate_sharded, generate_sharded_exec, ShardedCorpusConfig,
-};
+pub use shard::{generate_page, generate_shard, generate_sharded, ShardedCorpusConfig};
 pub use stats::{count_terms, table1, PageTermCounts, Table1Row};
 pub use web::{generate, CorpusConfig, FormPageRecord, SyntheticWeb};
+
+// The old name the benchmark harness (`perfbench/`) still calls; it goes
+// when its sources next change (ROADMAP item 1). Nothing else may call it.
+#[doc(hidden)]
+pub fn generate_sharded_exec(
+    config: &ShardedCorpusConfig,
+    policy: cafc_exec::ExecPolicy,
+) -> Vec<Vec<String>> {
+    generate_sharded(config, policy)
+}

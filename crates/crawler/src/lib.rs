@@ -132,9 +132,9 @@ pub struct ResilientCrawlOutcome {
 
 /// Breadth-first crawl from `seed` over the ideal (fault-free) fetcher.
 ///
-/// This is the classic entry point; it is a thin wrapper over
-/// [`crawl_resilient`] with a [`GraphFetcher`], and visits exactly the
-/// same pages in the same order as the original BFS.
+/// This is the classic entry point: [`crawl_resilient`] with a
+/// [`GraphFetcher`] and no instrumentation, visiting exactly the same
+/// pages in the same order as the original BFS.
 pub fn crawl(graph: &WebGraph, seed: PageId, config: &CrawlConfig) -> CrawlResult {
     let mut fetcher = GraphFetcher::new(graph);
     crawl_resilient(
@@ -142,6 +142,7 @@ pub fn crawl(graph: &WebGraph, seed: PageId, config: &CrawlConfig) -> CrawlResul
         &mut fetcher,
         seed,
         &ResilientConfig::with_limits(*config),
+        &Obs::disabled(),
     )
     .pages
 }
@@ -201,22 +202,14 @@ impl CrawlState {
 /// `graph` supplies URL identity and link resolution (what a real crawler
 /// gets from DNS and its frontier); page *content* only ever arrives
 /// through `fetcher`.
+///
+/// The run executes under a `crawl` span, every backoff wait lands in the
+/// `crawl.backoff_wait_ms` histogram, and the final [`CrawlStats`] are
+/// mirrored into `crawl.*` counters (attempts, successes, retries, error
+/// classes, breaker events, parking, dead letters) plus a
+/// `crawl.sim_elapsed_ms` gauge. The crawl itself is bit-identical whether
+/// or not `obs` has a sink.
 pub fn crawl_resilient<F: Fetcher>(
-    graph: &WebGraph,
-    fetcher: &mut F,
-    seed: PageId,
-    config: &ResilientConfig,
-) -> ResilientCrawlOutcome {
-    crawl_resilient_obs(graph, fetcher, seed, config, &Obs::disabled())
-}
-
-/// [`crawl_resilient`] with instrumentation: the run executes under a
-/// `crawl` span, every backoff wait lands in the `crawl.backoff_wait_ms`
-/// histogram, and the final [`CrawlStats`] are mirrored into `crawl.*`
-/// counters (attempts, successes, retries, error classes, breaker events,
-/// parking, dead letters) plus a `crawl.sim_elapsed_ms` gauge. The crawl
-/// itself is bit-identical whether or not a sink is installed.
-pub fn crawl_resilient_obs<F: Fetcher>(
     graph: &WebGraph,
     fetcher: &mut F,
     seed: PageId,
@@ -241,8 +234,8 @@ pub fn crawl_resilient_obs<F: Fetcher>(
     }
 }
 
-/// The crawl loop proper, shared by the plain entry points (no
-/// checkpointer) and [`crawl_resumable`] (checkpointer journals dead
+/// The crawl loop proper, shared by [`crawl_resilient`] (no checkpointer)
+/// and [`crawl_resumable`] (checkpointer journals dead
 /// letters, snapshots at the configured cadence, and replays journaled
 /// jobs instead of re-fetching them).
 pub(crate) fn crawl_driver<F: Fetcher>(
@@ -530,6 +523,8 @@ mod tests {
     use cafc_corpus::{generate, CorpusConfig};
     use cafc_webgraph::Url;
 
+    const NO_OBS: &Obs = &Obs::disabled();
+
     fn url(s: &str) -> Url {
         Url::parse(s).expect("test url parses")
     }
@@ -657,6 +652,7 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
+            NO_OBS,
         );
         assert_eq!(outcome.pages.visited, plain.visited);
         assert_eq!(
@@ -680,7 +676,7 @@ mod tests {
         g.add_page(url("http://a.com/x"), "x".into());
         g.intern(url("http://ghost.com/"));
         let mut fetcher = GraphFetcher::new(&g);
-        let outcome = crawl_resilient(&g, &mut fetcher, home, &ResilientConfig::default());
+        let outcome = crawl_resilient(&g, &mut fetcher, home, &ResilientConfig::default(), NO_OBS);
         assert_eq!(outcome.pages.visited.len(), 2);
         assert_eq!(outcome.stats.abandoned, 1);
         assert_eq!(outcome.stats.abandoned_with(AbandonReason::Permanent), 1);
@@ -697,6 +693,7 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
+            NO_OBS,
         );
         let found = outcome
             .pages
@@ -723,10 +720,11 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
+            NO_OBS,
         );
         let obs = Obs::with_clock(std::sync::Arc::new(cafc_obs::ManualClock::new()));
         let mut chaos = ChaosFetcher::over_graph(&web.graph, FaultConfig::transient(0.2, 5));
-        let outcome = crawl_resilient_obs(
+        let outcome = crawl_resilient(
             &web.graph,
             &mut chaos,
             web.portal,
@@ -756,7 +754,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let outcome = crawl_resilient(&g, &mut chaos, home, &config);
+        let outcome = crawl_resilient(&g, &mut chaos, home, &config, NO_OBS);
         assert!(outcome.pages.visited.is_empty());
         assert_eq!(outcome.stats.successes, 0);
         assert_eq!(

@@ -197,7 +197,7 @@ impl DeadLetterEvent {
 
 /// Journals dead letters, snapshots at the configured cadence, and replays
 /// journaled jobs during resume. Lives only inside [`crawl_resumable`];
-/// the plain crawl entry points run without one.
+/// [`crawl_resilient`](crate::crawl_resilient) runs without one.
 pub(crate) struct CrawlCheckpointer<'s> {
     store: &'s mut Store,
     every: u64,
@@ -644,7 +644,7 @@ fn run_fingerprint(graph: &WebGraph, seed: PageId, config: &ResilientConfig) -> 
     fnv1a64(&w.into_bytes())
 }
 
-/// [`crawl_resilient_obs`](crate::crawl_resilient_obs) with durable
+/// [`crawl_resilient`](crate::crawl_resilient) with durable
 /// checkpoints: snapshots every `store.config().checkpoint_every` jobs,
 /// dead letters journaled as they happen, and — when `resume` is true —
 /// recovery from whatever valid state the store holds. A resumed crawl
@@ -734,6 +734,8 @@ mod tests {
     use cafc_corpus::{generate, CorpusConfig};
     use cafc_store::{ChaosFs, FaultPlan, StdFs, StoreConfig};
 
+    const NO_OBS: &Obs = &Obs::disabled();
+
     fn store_at(dir: &std::path::Path, every: u64) -> Store {
         Store::open(
             dir,
@@ -790,6 +792,7 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
+            NO_OBS,
         );
 
         let dir = tmp_dir("clean");
@@ -800,7 +803,7 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
-            &Obs::disabled(),
+            NO_OBS,
             &mut store,
             false,
         )
@@ -814,7 +817,7 @@ mod tests {
         let web = generate(&CorpusConfig::small(41));
         let config = ResilientConfig::default();
         let mut chaos = ChaosFetcher::over_graph(&web.graph, fault_config());
-        let baseline = crawl_resilient(&web.graph, &mut chaos, web.portal, &config);
+        let baseline = crawl_resilient(&web.graph, &mut chaos, web.portal, &config, NO_OBS);
         assert!(
             !baseline.stats.dead_letter.is_empty(),
             "fault config must produce dead letters for this test to bite"
@@ -844,7 +847,7 @@ mod tests {
                 &mut fetcher,
                 web.portal,
                 &config,
-                &Obs::disabled(),
+                NO_OBS,
                 &mut store,
                 false,
             );
@@ -864,7 +867,7 @@ mod tests {
                 &mut fetcher,
                 web.portal,
                 &config,
-                &Obs::disabled(),
+                NO_OBS,
                 &mut store,
                 true,
             )
@@ -885,7 +888,7 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
-            &Obs::disabled(),
+            NO_OBS,
             &mut store,
             false,
         )
@@ -894,13 +897,7 @@ mod tests {
         other.crawl.max_depth = 2;
         let mut chaos = ChaosFetcher::over_graph(&web.graph, fault_config());
         let err = crawl_resumable(
-            &web.graph,
-            &mut chaos,
-            web.portal,
-            &other,
-            &Obs::disabled(),
-            &mut store,
-            true,
+            &web.graph, &mut chaos, web.portal, &other, NO_OBS, &mut store, true,
         )
         .expect_err("different config must refuse to resume");
         assert!(

@@ -10,6 +10,7 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
+use cafc::{ExecPolicy, Obs};
 use cafc::{FormPageCorpus, IngestLimits, ModelOptions};
 use cafc_check::Seed;
 use cafc_html::coverage::{Coverage, CoverageMap};
@@ -275,6 +276,8 @@ pub fn execute(input: &str, split_seed: u64) -> Execution {
             std::iter::once(input),
             &ModelOptions::default(),
             &IngestLimits::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         (corpus.len(), report)
     }) {

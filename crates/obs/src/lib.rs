@@ -300,7 +300,7 @@ impl std::fmt::Debug for Obs {
 
 impl Obs {
     /// A no-op handle: every instrumentation call returns immediately.
-    pub fn disabled() -> Obs {
+    pub const fn disabled() -> Obs {
         Obs { inner: None }
     }
 

@@ -474,7 +474,11 @@ fn timed_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use cafc::ExecPolicy::Serial;
     use cafc::{ModelOptions, Partition, SearchConfig, SearchPipeline};
+
+    const NO_OBS: &Obs = &Obs::disabled();
 
     fn pages() -> Vec<String> {
         (0..12)
@@ -490,8 +494,12 @@ mod tests {
     }
 
     fn index() -> SearchIndex {
-        let corpus =
-            FormPageCorpus::from_html(pages().iter().map(|p| p.as_str()), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(
+            pages().iter().map(|p| p.as_str()),
+            &ModelOptions::default(),
+            Serial,
+            NO_OBS,
+        );
         let clusters = vec![
             (0..12).filter(|i| i % 2 == 0).collect(),
             (0..12).filter(|i| i % 2 == 1).collect(),
@@ -576,8 +584,8 @@ mod tests {
             .with_rate(400.0)
             .with_duration_ms(150)
             .with_workers(2);
-        let a = run(&index, &config, &Obs::disabled(), 5.0);
-        let b = run(&index, &config, &Obs::disabled(), 7.0);
+        let a = run(&index, &config, NO_OBS, 5.0);
+        let b = run(&index, &config, NO_OBS, 7.0);
         assert_eq!(a.render_digest(), b.render_digest());
         assert!(a.queries > 0, "150 ms at 400 qps should issue queries");
         assert!(a.recall_at_10 >= 0.95, "recall {}", a.recall_at_10);
@@ -591,7 +599,7 @@ mod tests {
     fn report_json_is_stable_and_parsable_shape() {
         let index = index();
         let config = LoadgenConfig::new().with_duration_ms(50).with_rate(100.0);
-        let report = run(&index, &config, &Obs::disabled(), 2.0);
+        let report = run(&index, &config, NO_OBS, 2.0);
         let json = report.render_json();
         for key in [
             "\"bench\": \"loadgen\"",

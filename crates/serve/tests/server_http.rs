@@ -5,8 +5,11 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use cafc::ExecPolicy::Serial;
 use cafc::{FormPageCorpus, ModelOptions, Obs, Partition, SearchConfig, SearchPipeline};
 use cafc_serve::{ServeOptions, Server, SharedIndex};
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 fn build_index() -> cafc::SearchIndex {
     let pages: Vec<String> = (0..8)
@@ -19,8 +22,12 @@ fn build_index() -> cafc::SearchIndex {
             format!("<p>{topic} database page{i}</p><form><input name=f{i}></form>")
         })
         .collect();
-    let corpus =
-        FormPageCorpus::from_html(pages.iter().map(|p| p.as_str()), &ModelOptions::default());
+    let corpus = FormPageCorpus::from_html(
+        pages.iter().map(|p| p.as_str()),
+        &ModelOptions::default(),
+        Serial,
+        NO_OBS,
+    );
     let partition = Partition::new(
         vec![
             (0..8).filter(|i| i % 2 == 0).collect(),
@@ -268,8 +275,12 @@ fn shared_index_hot_swaps_under_live_traffic() {
         })
         .collect();
     pages.push("<p>submarine voyages periscope depth</p><form><input name=f8></form>".into());
-    let corpus =
-        FormPageCorpus::from_html(pages.iter().map(|p| p.as_str()), &ModelOptions::default());
+    let corpus = FormPageCorpus::from_html(
+        pages.iter().map(|p| p.as_str()),
+        &ModelOptions::default(),
+        Serial,
+        NO_OBS,
+    );
     let partition = Partition::new(
         vec![
             (0..9).filter(|i| i % 2 == 0).collect(),

@@ -15,6 +15,7 @@ use cafc::{
     assign_to_clusters, cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace,
     ModelOptions, Partition,
 };
+use cafc::{ExecPolicy, Obs};
 use cafc_corpus::{generate, CorpusConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +26,13 @@ fn main() {
     let labels = web.labels();
 
     // One shared corpus so IDF statistics cover known + new pages alike.
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
 
     // Hold out every 5th page as a "new source".
@@ -45,7 +52,15 @@ fn main() {
         min_cardinality: 4,
         ..Default::default()
     });
-    let full = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let full = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let known_clusters: Vec<Vec<usize>> = full
         .outcome
         .partition

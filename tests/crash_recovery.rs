@@ -17,8 +17,9 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cafc::ExecPolicy;
-use cafc::{FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, ModelOptions, Obs};
+use cafc::{
+    ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, ModelOptions, Obs,
+};
 use cafc_check::gen::{f64s, pairs, usizes};
 use cafc_check::{check, require, require_eq, CheckConfig};
 use cafc_cluster::{
@@ -29,6 +30,8 @@ use cafc_crawler::{crawl_resumable, ChaosFetcher, FaultConfig, ResilientConfig};
 use cafc_store::{ChaosFs, FaultKind, FaultPlan, StdFs, Store, StoreConfig, StoreError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 const STAGES: [&str; 4] = ["crawl", "ingest", "kmeans", "hac"];
 
@@ -61,12 +64,12 @@ impl Fixture {
             .iter()
             .map(|p| web.graph.html(*p).unwrap_or("").to_owned())
             .collect();
-        let corpus = FormPageCorpus::from_graph_obs(
+        let corpus = FormPageCorpus::from_graph(
             &web.graph,
             &targets,
             &ModelOptions::default(),
             ExecPolicy::Auto,
-            &Obs::disabled(),
+            NO_OBS,
         );
         Fixture { web, htmls, corpus }
     }
@@ -114,7 +117,7 @@ fn digest_stage(
                 &mut fetcher,
                 fx.web.portal,
                 &ResilientConfig::default(),
-                &Obs::disabled(),
+                NO_OBS,
                 store,
                 resume,
             )
@@ -125,7 +128,7 @@ fn digest_stage(
             &ModelOptions::default(),
             &IngestLimits::default(),
             policy,
-            &Obs::disabled(),
+            NO_OBS,
             store,
             resume,
         )
@@ -138,7 +141,7 @@ fn digest_stage(
                 &seeds,
                 &KMeansOptions::default(),
                 policy,
-                &Obs::disabled(),
+                NO_OBS,
                 store,
                 resume,
             )
@@ -154,7 +157,7 @@ fn digest_stage(
                     linkage: Linkage::Average,
                 },
                 policy,
-                &Obs::disabled(),
+                NO_OBS,
                 store,
                 resume,
             )
@@ -320,7 +323,7 @@ fn resume_with_different_inputs_is_a_typed_refusal() {
         &ModelOptions::default(),
         &IngestLimits::default(),
         ExecPolicy::Auto,
-        &Obs::disabled(),
+        NO_OBS,
         &mut store,
         true,
     )

@@ -1,11 +1,14 @@
 //! Integration of the acquisition substrates: crawler + classifier feed
 //! the clustering pipeline, exactly as in the paper's system context.
 
-use cafc::{cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions};
+use cafc::ExecPolicy::Serial;
+use cafc::{cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, Obs};
 use cafc_corpus::{generate, CorpusConfig};
 use cafc_crawler::{crawl, CrawlConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 #[test]
 fn crawler_recovers_the_searchable_corpus() {
@@ -62,14 +65,17 @@ fn crawled_pages_cluster_like_curated_ones() {
         })
         .collect();
 
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus =
+        FormPageCorpus::from_graph(&web.graph, &targets, &Default::default(), Serial, NO_OBS);
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(22);
     let config = CafcChConfig::paper_default(8).with_hub(cafc::HubClusterOptions {
         min_cardinality: 4,
         ..Default::default()
     });
-    let result = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let result = cafc_ch(
+        &web.graph, &targets, &space, &config, &mut rng, Serial, NO_OBS,
+    );
     let e = cafc_eval::entropy(
         result.outcome.partition.clusters(),
         &labels,

@@ -3,17 +3,20 @@
 //! must produce *byte-identical* results: the same partitions, the same
 //! ingestion reports in the same order, the same floating-point quality
 //! numbers down to the last bit. Also proves the redesigned [`Pipeline`]
-//! front door reproduces the legacy free-function API exactly.
+//! front door reproduces direct calls of the stage functions exactly.
 //!
 //! CI runs this suite under `CAFC_TEST_THREADS=1` and `=4`; the variable
 //! adds one more policy to every sweep.
 
 use cafc::prelude::*;
+use cafc::ExecPolicy::Serial;
 use cafc::{cafc_c, cafc_ch, HubClusterOptions};
 use cafc_corpus::{generate, mutate_page, page_rng, CorpusConfig, Mutation, SyntheticWeb};
 use cafc_eval::EntropyBase;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 /// The policies every assertion sweeps. `CAFC_TEST_THREADS=N` (CI matrix)
 /// appends one more `Parallel { threads: N }` entry.
@@ -212,15 +215,16 @@ fn metrics_sink_does_not_perturb_clustering() {
 }
 
 /// The pipeline is a *wrapper*, not a reimplementation: with the same seed
-/// it must reproduce the legacy `cafc_c` free function exactly.
+/// it must reproduce a direct `cafc_c` call exactly.
 #[test]
-fn pipeline_matches_legacy_cafc_c() {
+fn pipeline_matches_direct_cafc_c() {
     let web = web();
     let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus =
+        FormPageCorpus::from_graph(&web.graph, &targets, &Default::default(), Serial, NO_OBS);
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(4);
-    let legacy = cafc_c(&space, 8, &KMeansOptions::default(), &mut rng);
+    let direct = cafc_c(&space, 8, &Default::default(), &mut rng, Serial, NO_OBS);
 
     for policy in policies() {
         let out = Pipeline::builder()
@@ -231,26 +235,29 @@ fn pipeline_matches_legacy_cafc_c() {
             .run_graph(&web.graph, &targets)
             .expect("CafcC accepts graph input");
         assert_eq!(
-            out.partition, legacy.partition,
-            "pipeline CafcC != legacy cafc_c under {policy:?}"
+            out.partition, direct.partition,
+            "pipeline CafcC != direct cafc_c under {policy:?}"
         );
     }
 }
 
-/// Same for the legacy `cafc_ch` free function, including the seeding
+/// Same for a direct `cafc_ch` call, including the seeding
 /// statistics the outcome reports.
 #[test]
-fn pipeline_matches_legacy_cafc_ch() {
+fn pipeline_matches_direct_cafc_ch() {
     let web = web();
     let targets = web.form_page_ids();
     let config = CafcChConfig::paper_default(8).with_hub(HubClusterOptions {
         min_cardinality: 4,
         ..Default::default()
     });
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus =
+        FormPageCorpus::from_graph(&web.graph, &targets, &Default::default(), Serial, NO_OBS);
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(6);
-    let legacy = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let direct = cafc_ch(
+        &web.graph, &targets, &space, &config, &mut rng, Serial, NO_OBS,
+    );
 
     for policy in policies() {
         let out = Pipeline::builder()
@@ -261,8 +268,8 @@ fn pipeline_matches_legacy_cafc_ch() {
             .run_graph(&web.graph, &targets)
             .expect("graph input satisfies CAFC-CH");
         assert_eq!(
-            out.partition, legacy.outcome.partition,
-            "pipeline CafcCh != legacy cafc_ch under {policy:?}"
+            out.partition, direct.outcome.partition,
+            "pipeline CafcCh != direct cafc_ch under {policy:?}"
         );
         match out.details {
             AlgorithmDetails::CafcCh {
@@ -271,9 +278,9 @@ fn pipeline_matches_legacy_cafc_ch() {
                 iterations,
                 ..
             } => {
-                assert_eq!(hub_seeds, legacy.hub_seeds);
-                assert_eq!(padded_seeds, legacy.padded_seeds);
-                assert_eq!(iterations, legacy.outcome.iterations);
+                assert_eq!(hub_seeds, direct.hub_seeds);
+                assert_eq!(padded_seeds, direct.padded_seeds);
+                assert_eq!(iterations, direct.outcome.iterations);
             }
             other => panic!("CafcCh must report CafcCh details, got {other:?}"),
         }

@@ -3,8 +3,9 @@
 //! corpora via `cafc_check::check_equiv`. Any disagreement is shrunk to a
 //! minimal witness and reported with a replayable `CAFC_CHECK_SEED`.
 
+use cafc::ExecPolicy::Serial;
 use cafc::{
-    Algorithm, FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, KMeansOptions,
+    Algorithm, FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, IngestReport, Linkage,
     ModelOptions, Pipeline,
 };
 use cafc_check::corpus::clean_html_corpus;
@@ -16,6 +17,8 @@ use cafc_exec::ExecPolicy;
 use cafc_obs::Obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 /// A generated corpus plus an independent clustering seed.
 fn corpus_and_seed() -> Gen<(Vec<String>, usize)> {
@@ -43,11 +46,11 @@ fn run_pipeline(pages: &[String], seed: u64, exec: ExecPolicy, obs: Obs) -> Part
         .partition
 }
 
-/// The `Pipeline` front door and the legacy free-function path
+/// The `Pipeline` front door and the direct stage-function path
 /// (`from_html` → `FormPageSpace` → `cafc_c`) must produce the identical
 /// partition for the same seed.
 #[test]
-fn pipeline_matches_legacy_cafc_c() {
+fn pipeline_matches_direct_cafc_c() {
     check_equiv(
         "Pipeline::run_html == from_html + cafc_c",
         &cfg(),
@@ -56,11 +59,13 @@ fn pipeline_matches_legacy_cafc_c() {
         |(pages, seed)| {
             let corpus = FormPageCorpus::from_html(
                 pages.iter().map(String::as_str),
-                &ModelOptions::default(),
+                &Default::default(),
+                Serial,
+                NO_OBS,
             );
             let space = FormPageSpace::new(&corpus, FeatureConfig::default());
             let mut rng = StdRng::seed_from_u64(*seed as u64);
-            cafc::cafc_c(&space, 2, &KMeansOptions::default(), &mut rng).partition
+            cafc::cafc_c(&space, 2, &Default::default(), &mut rng, Serial, NO_OBS).partition
         },
     );
 }
@@ -85,16 +90,70 @@ fn serial_matches_parallel() {
     );
 }
 
+/// Every HTML-input algorithm (CAFC-C, HAC, bisecting k-means), each over
+/// raw `from_html` and over hardened ingest, run under one `Obs` handle:
+/// the six partitions and ingest reports.
+fn every_html_run(
+    pages: &[String],
+    seed: u64,
+    obs: &Obs,
+) -> Vec<(Partition, Option<IngestReport>)> {
+    let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
+    let algorithms = [
+        Algorithm::CafcC { k: 2 },
+        Algorithm::Hac {
+            k: 2,
+            linkage: Linkage::Centroid,
+        },
+        Algorithm::Bisect { k: 2, trials: 2 },
+    ];
+    let mut runs = Vec::new();
+    for algorithm in algorithms {
+        for hardened in [false, true] {
+            let mut builder = Pipeline::builder()
+                .algorithm(algorithm.clone())
+                .seed(seed)
+                .obs(obs.clone());
+            if hardened {
+                builder = builder.ingest_limits(IngestLimits::new());
+            }
+            let out = builder
+                .build()
+                .run_html(&refs)
+                .expect("HTML input suffices");
+            runs.push((out.partition, out.ingest));
+        }
+    }
+    runs
+}
+
 /// Observability is read-only: an enabled `Obs` handle never changes the
-/// clustering.
+/// clustering or the ingest report of any HTML-input algorithm, over raw
+/// or hardened ingest — and the enabled handle really recorded each stage.
 #[test]
 fn metrics_on_matches_metrics_off() {
     check_equiv(
         "Obs::enabled == Obs::disabled",
         &cfg(),
         &corpus_and_seed(),
-        |(pages, seed)| run_pipeline(pages, *seed as u64, ExecPolicy::Serial, Obs::disabled()),
-        |(pages, seed)| run_pipeline(pages, *seed as u64, ExecPolicy::Serial, Obs::enabled()),
+        |(pages, seed)| every_html_run(pages, *seed as u64, NO_OBS),
+        |(pages, seed)| {
+            let obs = Obs::enabled();
+            let runs = every_html_run(pages, *seed as u64, &obs);
+            let counters = obs.snapshot().counters;
+            for stage in [
+                "ingest.pages_total",
+                "kmeans.iterations",
+                "hac.merges",
+                "bisect.splits",
+            ] {
+                assert!(
+                    counters.iter().any(|(name, _)| name == stage),
+                    "{stage} not recorded"
+                );
+            }
+            runs
+        },
     );
 }
 
@@ -125,6 +184,8 @@ fn clean_ingestion_accounts_for_every_page() {
             pages.iter().map(String::as_str),
             &ModelOptions::default(),
             &IngestLimits::default(),
+            Serial,
+            NO_OBS,
         );
         require!(report.is_accounted(), "accounting identity broken");
         require_eq!(report.quarantined(), 0);
@@ -149,6 +210,8 @@ fn mutated_ingestion_accounts_for_every_page() {
             hostile.iter().map(String::as_str),
             &ModelOptions::default(),
             &tight_limits(),
+            Serial,
+            NO_OBS,
         );
         require!(report.is_accounted(), "accounting identity broken");
         require_eq!(report.total(), pages.len());
@@ -166,11 +229,12 @@ fn ingestion_accounting_is_exec_invariant() {
     let cases = pairs(&clean_html_corpus(1, 5), &usizes(0, 9_999));
     let tally = |pages: &[String], seed: u64, policy: ExecPolicy| {
         let hostile = mutated(pages, seed);
-        let (corpus, report) = FormPageCorpus::from_html_ingest_exec(
+        let (corpus, report) = FormPageCorpus::from_html_ingest(
             hostile.iter().map(String::as_str),
             &ModelOptions::default(),
             &tight_limits(),
             policy,
+            NO_OBS,
         );
         (
             report.ok(),

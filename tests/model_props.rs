@@ -4,18 +4,26 @@
 //! They run on `cafc-check`, the workspace's property engine, so these
 //! invariants are exercised on every commit.
 
-use cafc::{FeatureConfig, FormPageCorpus, FormPageSpace, LocationWeights, ModelOptions};
+use cafc::ExecPolicy::Serial;
+use cafc::{FeatureConfig, FormPageCorpus, FormPageSpace, LocationWeights, ModelOptions, Obs};
 use cafc_check::corpus::clean_html_corpus;
 use cafc_check::gen::{f64s, pairs, Gen};
 use cafc_check::{check, require, require_close, require_eq, CheckConfig};
 use cafc_cluster::ClusterSpace;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 fn corpus_gen() -> Gen<Vec<String>> {
     clean_html_corpus(2, 7)
 }
 
 fn build(pages: &[String]) -> FormPageCorpus {
-    FormPageCorpus::from_html(pages.iter().map(String::as_str), &ModelOptions::default())
+    FormPageCorpus::from_html(
+        pages.iter().map(String::as_str),
+        &Default::default(),
+        Serial,
+        NO_OBS,
+    )
 }
 
 /// Model construction is deterministic.
@@ -101,8 +109,9 @@ fn loc_weight_monotone() {
             title: base.weights.title * boost,
             ..base.weights
         });
-        let a = FormPageCorpus::from_html(pages.iter().map(String::as_str), &base);
-        let b = FormPageCorpus::from_html(pages.iter().map(String::as_str), &boosted);
+        let a = FormPageCorpus::from_html(pages.iter().map(String::as_str), &base, Serial, NO_OBS);
+        let b =
+            FormPageCorpus::from_html(pages.iter().map(String::as_str), &boosted, Serial, NO_OBS);
         // Same dictionaries (same interning order), so ids are comparable.
         for i in 0..a.len() {
             for &(t, w) in a.pc[i].entries() {
@@ -174,10 +183,15 @@ fn shard_merge_term_order_invariant() {
     check!(CheckConfig::new(), problem, |(pages, (cut, unit))| {
         let opts = ModelOptions::default();
         let limits = IngestLimits::new().with_shard_pages(*unit);
-        let (base, base_report) =
-            FormPageCorpus::from_html_ingest(pages.iter().map(String::as_str), &opts, &limits);
+        let (base, base_report) = FormPageCorpus::from_html_ingest(
+            pages.iter().map(String::as_str),
+            &opts,
+            &limits,
+            Serial,
+            NO_OBS,
+        );
         let shards: Vec<Vec<String>> = pages.chunks(*cut).map(<[String]>::to_vec).collect();
-        let (sharded, report) = FormPageCorpus::from_shards(shards, &opts, &limits);
+        let (sharded, report) = FormPageCorpus::from_shards(shards, &opts, &limits, Serial, NO_OBS);
         require_eq!(base.dict.len(), sharded.dict.len());
         for ((ta, sa), (tb, sb)) in base.dict.iter().zip(sharded.dict.iter()) {
             require_eq!(ta, tb);

@@ -5,9 +5,10 @@
 //! These build the 454-page corpus once and are the slowest tests in the
 //! suite; they stay well under a minute even in debug builds.
 
+use cafc::ExecPolicy::Serial;
 use cafc::{
     cafc_c, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, HubClusterOptions,
-    KMeansOptions, LocationWeights, ModelOptions,
+    LocationWeights, ModelOptions, Obs,
 };
 use cafc_corpus::{generate, CorpusConfig, Domain, SyntheticWeb};
 use cafc_eval::{entropy, f_measure, EntropyBase};
@@ -15,6 +16,8 @@ use cafc_webgraph::PageId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 struct Env {
     web: SyntheticWeb,
@@ -29,7 +32,8 @@ fn env() -> &'static Env {
         let web = generate(&CorpusConfig::default());
         let targets = web.form_page_ids();
         let labels = web.labels();
-        let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+        let corpus =
+            FormPageCorpus::from_graph(&web.graph, &targets, &Default::default(), Serial, NO_OBS);
         Env {
             web,
             targets,
@@ -45,7 +49,7 @@ fn avg_cafc_c(space: &FormPageSpace<'_>, runs: u64) -> (f64, f64) {
     let mut f = 0.0;
     for run in 0..runs {
         let mut rng = StdRng::seed_from_u64(run);
-        let out = cafc_c(space, 8, &KMeansOptions::default(), &mut rng);
+        let out = cafc_c(space, 8, &Default::default(), &mut rng, Serial, NO_OBS);
         e += entropy(out.partition.clusters(), labels, EntropyBase::Two);
         f += f_measure(out.partition.clusters(), labels);
     }
@@ -61,6 +65,8 @@ fn run_ch(space: &FormPageSpace<'_>) -> (f64, f64) {
         space,
         &CafcChConfig::paper_default(8).with_hub(HubClusterOptions::default()),
         &mut rng,
+        Serial,
+        NO_OBS,
     );
     (
         entropy(
@@ -112,6 +118,8 @@ fn loc_weights_ablation_shape() {
         &e.web.graph,
         &e.targets,
         &ModelOptions::new().with_weights(LocationWeights::uniform()),
+        Serial,
+        NO_OBS,
     );
     let diff_space = FormPageSpace::new(&e.corpus, FeatureConfig::combined());
     let uni_space = FormPageSpace::new(&uniform_corpus, FeatureConfig::combined());
@@ -145,6 +153,8 @@ fn single_attribute_forms_mostly_correct() {
         &space,
         &CafcChConfig::paper_default(8),
         &mut rng,
+        Serial,
+        NO_OBS,
     );
     let wrong = cafc_eval::misclustered(out.outcome.partition.clusters(), &e.labels);
     let singles_total = e

@@ -1,32 +1,67 @@
 //! End-to-end integration: synthetic web → form-page model → CAFC-C /
 //! CAFC-CH → evaluation. Crosses every crate in the workspace.
 
+use cafc::ExecPolicy::Serial;
 use cafc::{
-    cafc_c, cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, HubClusterOptions,
-    KMeansOptions, ModelOptions,
+    cafc_c, cafc_ch, CafcChConfig, CafcChOutcome, FeatureConfig, FormPageCorpus, FormPageSpace,
+    HubClusterOptions, KMeansOptions, ModelOptions, Obs,
 };
-use cafc_corpus::{generate, CorpusConfig};
+use cafc_corpus::{generate, CorpusConfig, Domain, SyntheticWeb};
 use cafc_eval::{entropy, f_measure, EntropyBase};
+use cafc_webgraph::PageId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn small_config(seed: u64) -> CafcChConfig {
-    let _ = seed;
-    CafcChConfig::paper_default(8).with_hub(HubClusterOptions {
+const NO_OBS: &Obs = &Obs::disabled();
+
+/// The small synthetic web for `seed`, its form pages, and their model.
+fn small_web(seed: u64, anchors: bool) -> (SyntheticWeb, Vec<PageId>, FormPageCorpus) {
+    let web = generate(&CorpusConfig::small(seed));
+    let targets = web.form_page_ids();
+    let opts = ModelOptions::default();
+    let corpus = if anchors {
+        FormPageCorpus::from_graph_with_anchors(&web.graph, &targets, &opts, Serial, NO_OBS)
+    } else {
+        FormPageCorpus::from_graph(&web.graph, &targets, &opts, Serial, NO_OBS)
+    };
+    (web, targets, corpus)
+}
+
+/// CAFC-CH at k = 8 (hub cardinality ≥ 4) with the RNG seeded by `seed`.
+fn run_ch(
+    web: &SyntheticWeb,
+    targets: &[PageId],
+    space: &FormPageSpace,
+    seed: u64,
+) -> CafcChOutcome {
+    let config = CafcChConfig::paper_default(8).with_hub(HubClusterOptions {
         min_cardinality: 4,
         ..Default::default()
-    })
+    });
+    let mut rng = StdRng::seed_from_u64(seed);
+    cafc_ch(
+        &web.graph, targets, space, &config, &mut rng, Serial, NO_OBS,
+    )
+}
+
+/// Mean CAFC-C entropy at k = 8 over RNG seeds 0..5.
+fn mean_cafc_c_entropy(space: &FormPageSpace, labels: &[Domain]) -> f64 {
+    let opts = KMeansOptions::default();
+    let mut acc = 0.0;
+    for run in 0..5u64 {
+        let mut rng = StdRng::seed_from_u64(run);
+        let out = cafc_c(space, 8, &opts, &mut rng, Serial, NO_OBS);
+        acc += entropy(out.partition.clusters(), labels, EntropyBase::Two);
+    }
+    acc / 5.0
 }
 
 #[test]
 fn end_to_end_cafc_ch_beats_random_chance() {
-    let web = generate(&CorpusConfig::small(1));
-    let targets = web.form_page_ids();
+    let (web, targets, corpus) = small_web(1, false);
     let labels = web.labels();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let mut rng = StdRng::seed_from_u64(2);
-    let result = cafc_ch(&web.graph, &targets, &space, &small_config(2), &mut rng);
+    let result = run_ch(&web, &targets, &space, 2);
     let clusters = result.outcome.partition.clusters();
 
     let e = entropy(clusters, &labels, EntropyBase::Two);
@@ -40,22 +75,12 @@ fn end_to_end_cafc_ch_beats_random_chance() {
 
 #[test]
 fn cafc_ch_beats_cafc_c_on_average() {
-    let web = generate(&CorpusConfig::small(5));
-    let targets = web.form_page_ids();
+    let (web, targets, corpus) = small_web(5, false);
     let labels = web.labels();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
 
-    let mut c_entropy = 0.0;
-    for run in 0..5u64 {
-        let mut rng = StdRng::seed_from_u64(run);
-        let out = cafc_c(&space, 8, &KMeansOptions::default(), &mut rng);
-        c_entropy += entropy(out.partition.clusters(), &labels, EntropyBase::Two);
-    }
-    c_entropy /= 5.0;
-
-    let mut rng = StdRng::seed_from_u64(9);
-    let ch = cafc_ch(&web.graph, &targets, &space, &small_config(9), &mut rng);
+    let c_entropy = mean_cafc_c_entropy(&space, &labels);
+    let ch = run_ch(&web, &targets, &space, 9);
     let ch_entropy = entropy(ch.outcome.partition.clusters(), &labels, EntropyBase::Two);
     assert!(
         ch_entropy < c_entropy,
@@ -65,22 +90,12 @@ fn cafc_ch_beats_cafc_c_on_average() {
 
 #[test]
 fn combined_features_beat_fc_only() {
-    let web = generate(&CorpusConfig::small(8));
-    let targets = web.form_page_ids();
+    let (web, _, corpus) = small_web(8, false);
     let labels = web.labels();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
-
-    let mut entropies = Vec::new();
-    for config in [FeatureConfig::FcOnly, FeatureConfig::combined()] {
-        let space = FormPageSpace::new(&corpus, config);
-        let mut acc = 0.0;
-        for run in 0..5u64 {
-            let mut rng = StdRng::seed_from_u64(run);
-            let out = cafc_c(&space, 8, &KMeansOptions::default(), &mut rng);
-            acc += entropy(out.partition.clusters(), &labels, EntropyBase::Two);
-        }
-        entropies.push(acc / 5.0);
-    }
+    let entropies: Vec<f64> = [FeatureConfig::FcOnly, FeatureConfig::combined()]
+        .into_iter()
+        .map(|config| mean_cafc_c_entropy(&FormPageSpace::new(&corpus, config), &labels))
+        .collect();
     assert!(
         entropies[1] < entropies[0],
         "FC+PC ({}) must beat FC-only ({})",
@@ -91,27 +106,17 @@ fn combined_features_beat_fc_only() {
 
 #[test]
 fn deterministic_given_seeds() {
-    let web = generate(&CorpusConfig::small(3));
-    let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let (web, targets, corpus) = small_web(3, false);
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let run = |seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        cafc_ch(&web.graph, &targets, &space, &small_config(seed), &mut rng)
-            .outcome
-            .partition
-    };
+    let run = |seed| run_ch(&web, &targets, &space, seed).outcome.partition;
     assert_eq!(run(4), run(4));
 }
 
 #[test]
 fn every_page_lands_in_exactly_one_cluster() {
-    let web = generate(&CorpusConfig::small(6));
-    let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let (web, targets, corpus) = small_web(6, false);
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let mut rng = StdRng::seed_from_u64(6);
-    let result = cafc_ch(&web.graph, &targets, &space, &small_config(6), &mut rng);
+    let result = run_ch(&web, &targets, &space, 6);
     let mut seen: Vec<usize> = result
         .outcome
         .partition
@@ -127,10 +132,7 @@ fn every_page_lands_in_exactly_one_cluster() {
 
 #[test]
 fn anchor_extension_produces_valid_space() {
-    let web = generate(&CorpusConfig::small(7));
-    let targets = web.form_page_ids();
-    let corpus =
-        FormPageCorpus::from_graph_with_anchors(&web.graph, &targets, &ModelOptions::default());
+    let (web, targets, corpus) = small_web(7, true);
     // Most pages receive in-link anchor text from hubs.
     let with_anchor_text = corpus.anchor.iter().filter(|v| !v.is_empty()).count();
     assert!(
@@ -146,7 +148,6 @@ fn anchor_extension_produces_valid_space() {
             c3: 1.0,
         },
     );
-    let mut rng = StdRng::seed_from_u64(7);
-    let result = cafc_ch(&web.graph, &targets, &space, &small_config(7), &mut rng);
+    let result = run_ch(&web, &targets, &space, 7);
     assert_eq!(result.outcome.partition.num_assigned(), targets.len());
 }

@@ -3,10 +3,12 @@
 //! empty documents, pages without forms, enormous inputs — because a real
 //! crawl contains all of these.
 
+use cafc::ExecPolicy::Serial;
 use cafc::{
     cafc_c, cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, HubClusterOptions,
-    KMeansOptions, ModelOptions,
+    Obs,
 };
+use cafc_cluster::KMeansOutcome;
 use cafc_crawler::{
     crawl_resilient, AbandonReason, BreakerConfig, FetchError, FetchResponse, Fetcher,
     GraphFetcher, ResilientConfig, RetryPolicy,
@@ -15,6 +17,17 @@ use cafc_webgraph::{PageId, Url, WebGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+
+const NO_OBS: &Obs = &Obs::disabled();
+
+/// Model `pages` of `g` (default options, PC+FC) and run CAFC-C with `k`
+/// clusters from RNG seed `seed`.
+fn cluster_cafc_c(g: &WebGraph, pages: &[PageId], k: usize, seed: u64) -> KMeansOutcome {
+    let corpus = FormPageCorpus::from_graph(g, pages, &Default::default(), Serial, NO_OBS);
+    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
+    let mut rng = StdRng::seed_from_u64(seed);
+    cafc_c(&space, k, &Default::default(), &mut rng, Serial, NO_OBS)
+}
 
 fn url(s: &str) -> Url {
     Url::parse(s).expect("test url parses")
@@ -63,7 +76,7 @@ fn pathological_graph() -> (WebGraph, Vec<cafc_webgraph::PageId>) {
 #[test]
 fn model_construction_never_panics_on_broken_pages() {
     let (g, targets) = pathological_graph();
-    let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(&g, &targets, &Default::default(), Serial, NO_OBS);
     assert_eq!(corpus.len(), targets.len());
     // Broken pages produce empty or tiny vectors, not crashes.
     assert!(
@@ -79,24 +92,21 @@ fn model_construction_never_panics_on_broken_pages() {
 #[test]
 fn clustering_handles_empty_vectors() {
     let (g, targets) = pathological_graph();
-    let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
-    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let mut rng = StdRng::seed_from_u64(1);
-    let out = cafc_c(&space, 3, &KMeansOptions::default(), &mut rng);
+    let out = cluster_cafc_c(&g, &targets, 3, 1);
     assert_eq!(out.partition.num_assigned(), targets.len());
 }
 
 #[test]
 fn cafc_ch_without_any_backlinks_pads_seeds() {
     let (g, targets) = pathological_graph();
-    let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(&g, &targets, &Default::default(), Serial, NO_OBS);
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let config = CafcChConfig::paper_default(3).with_hub(HubClusterOptions {
         min_cardinality: 1,
         ..Default::default()
     });
     let mut rng = StdRng::seed_from_u64(2);
-    let out = cafc_ch(&g, &targets, &space, &config, &mut rng);
+    let out = cafc_ch(&g, &targets, &space, &config, &mut rng, Serial, NO_OBS);
     assert_eq!(out.hub_seeds, 0, "no hubs exist in this graph");
     assert_eq!(out.padded_seeds, 3);
     assert_eq!(out.outcome.partition.num_assigned(), targets.len());
@@ -105,7 +115,8 @@ fn cafc_ch_without_any_backlinks_pads_seeds() {
 #[test]
 fn anchor_extension_tolerates_linkless_pages() {
     let (g, targets) = pathological_graph();
-    let corpus = FormPageCorpus::from_graph_with_anchors(&g, &targets, &ModelOptions::default());
+    let corpus =
+        FormPageCorpus::from_graph_with_anchors(&g, &targets, &Default::default(), Serial, NO_OBS);
     assert!(corpus.anchor.iter().all(cafc_vsm::SparseVector::is_empty));
 }
 
@@ -116,10 +127,7 @@ fn single_page_corpus() {
         url("http://solo.com/f"),
         "<form>q <input name=q></form>".into(),
     );
-    let corpus = FormPageCorpus::from_graph(&g, &[p], &ModelOptions::default());
-    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let mut rng = StdRng::seed_from_u64(3);
-    let out = cafc_c(&space, 1, &KMeansOptions::default(), &mut rng);
+    let out = cluster_cafc_c(&g, &[p], 1, 3);
     assert_eq!(out.partition.clusters(), &[vec![0]]);
 }
 
@@ -212,7 +220,7 @@ fn retry_exhaustion_dead_letters_the_host_but_clusters_survivors() {
         },
         ..ResilientConfig::default()
     };
-    let outcome = crawl_resilient(&g, &mut fetcher, portal, &config);
+    let outcome = crawl_resilient(&g, &mut fetcher, portal, &config, NO_OBS);
 
     assert!(outcome.stats.is_accounted(), "{}", outcome.stats);
     assert_eq!(outcome.stats.dead_letter.len(), 1);
@@ -224,10 +232,7 @@ fn retry_exhaustion_dead_letters_the_host_but_clusters_survivors() {
     // The four surviving form pages still flow through the pipeline.
     let survivors = outcome.pages.searchable_form_pages;
     assert_eq!(survivors.len(), 4);
-    let corpus = FormPageCorpus::from_graph(&g, &survivors, &ModelOptions::default());
-    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let mut rng = StdRng::seed_from_u64(5);
-    let out = cafc_c(&space, 2, &KMeansOptions::default(), &mut rng);
+    let out = cluster_cafc_c(&g, &survivors, 2, 5);
     assert_eq!(out.partition.num_assigned(), survivors.len());
 }
 
@@ -252,7 +257,7 @@ fn breaker_trips_then_recovers_through_half_open_probes() {
         max_parks: 8,
         ..ResilientConfig::default()
     };
-    let outcome = crawl_resilient(&g, &mut fetcher, portal, &config);
+    let outcome = crawl_resilient(&g, &mut fetcher, portal, &config, NO_OBS);
 
     assert!(outcome.stats.is_accounted(), "{}", outcome.stats);
     assert!(outcome.stats.breaker_trips >= 1, "{}", outcome.stats);
@@ -277,7 +282,13 @@ fn truncated_html_mid_tag_degrades_to_fewer_forms_not_a_crash() {
     // inside its attribute list.
     let cut = "<p>airfare flights travel</p><form acti".len();
     fetcher.truncate_host = Some(("flaky.com".into(), cut));
-    let outcome = crawl_resilient(&g, &mut fetcher, portal, &ResilientConfig::default());
+    let outcome = crawl_resilient(
+        &g,
+        &mut fetcher,
+        portal,
+        &ResilientConfig::default(),
+        NO_OBS,
+    );
 
     assert!(outcome.stats.is_accounted(), "{}", outcome.stats);
     assert_eq!(outcome.stats.truncated_pages, 3);
@@ -288,10 +299,7 @@ fn truncated_html_mid_tag_degrades_to_fewer_forms_not_a_crash() {
     assert_eq!(survivors.len(), 2, "only intact hosts keep their forms");
 
     // What survived still clusters.
-    let corpus = FormPageCorpus::from_graph(&g, &survivors, &ModelOptions::default());
-    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let mut rng = StdRng::seed_from_u64(6);
-    let out = cafc_c(&space, 1, &KMeansOptions::default(), &mut rng);
+    let out = cluster_cafc_c(&g, &survivors, 1, 6);
     assert_eq!(out.partition.num_assigned(), survivors.len());
 }
 
@@ -305,10 +313,7 @@ fn identical_pages_cluster_together() {
         targets.push(g.add_page(url(&format!("http://dup{i}.com/f")), html.into()));
     }
     targets.push(g.add_page(url("http://other.com/f"), distinct.into()));
-    let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
-    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let mut rng = StdRng::seed_from_u64(4);
-    let out = cafc_c(&space, 2, &KMeansOptions::default(), &mut rng);
+    let out = cluster_cafc_c(&g, &targets, 2, 4);
     // The four duplicates must share a cluster.
     let assignments = out.partition.assignments();
     let first = assignments[0];

@@ -11,14 +11,17 @@
 //!   byte-identical corpora and k-means partitions on the real
 //!   `FormPageSpace`.
 
+use cafc::ExecPolicy::Serial;
 use cafc::{
     ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, KMeansOptions,
-    ModelOptions,
+    ModelOptions, Obs,
 };
-use cafc_cluster::{kmeans_exec, random_singleton_seeds, ClusterSpace};
+use cafc_cluster::{kmeans, random_singleton_seeds, ClusterSpace};
 use cafc_corpus::{generate_sharded, ShardedCorpusConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 const K: usize = 8;
 const SEED: u64 = 10;
@@ -32,12 +35,13 @@ fn corpus_cfg(pages: usize) -> ShardedCorpusConfig {
 
 /// Build from shards under `policy`, returning the corpus and report.
 fn build(pages: usize, policy: ExecPolicy) -> (FormPageCorpus, cafc::IngestReport) {
-    let shards = generate_sharded(&corpus_cfg(pages));
-    FormPageCorpus::from_shards_exec(
+    let shards = generate_sharded(&corpus_cfg(pages), Serial);
+    FormPageCorpus::from_shards(
         shards,
         &ModelOptions::default(),
         &IngestLimits::new(),
         policy,
+        NO_OBS,
     )
 }
 
@@ -81,8 +85,14 @@ fn run_at(pages: usize) {
     assert_eq!(n, report.kept.len());
     let seeds = random_singleton_seeds(&space, K, &mut StdRng::seed_from_u64(SEED));
     let opts = KMeansOptions::default();
-    let serial = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Serial);
-    let parallel = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Parallel { threads: 4 });
+    let serial = kmeans(&space, &seeds, &opts, Serial, NO_OBS);
+    let parallel = kmeans(
+        &space,
+        &seeds,
+        &opts,
+        ExecPolicy::Parallel { threads: 4 },
+        NO_OBS,
+    );
     assert_eq!(
         serial.partition.clusters(),
         parallel.partition.clusters(),
@@ -127,11 +137,19 @@ fn scale_full_1e5() {
 #[test]
 fn empty_and_singleton_shards_are_no_ops() {
     let cfg = corpus_cfg(60);
-    let pages: Vec<String> = generate_sharded(&cfg).into_iter().flatten().collect();
+    let pages: Vec<String> = generate_sharded(&cfg, Serial)
+        .into_iter()
+        .flatten()
+        .collect();
     let opts = ModelOptions::default();
     let limits = IngestLimits::new();
-    let (base, base_report) =
-        FormPageCorpus::from_html_ingest(pages.iter().map(String::as_str), &opts, &limits);
+    let (base, base_report) = FormPageCorpus::from_html_ingest(
+        pages.iter().map(String::as_str),
+        &opts,
+        &limits,
+        Serial,
+        NO_OBS,
+    );
 
     // Interleave empty shards with singletons and one big tail shard.
     let mut shards: Vec<Vec<String>> = vec![Vec::new()];
@@ -141,7 +159,7 @@ fn empty_and_singleton_shards_are_no_ops() {
     }
     shards.push(pages[10..].to_vec());
     shards.push(Vec::new());
-    let (sharded, report) = FormPageCorpus::from_shards(shards, &opts, &limits);
+    let (sharded, report) = FormPageCorpus::from_shards(shards, &opts, &limits, Serial, NO_OBS);
 
     assert_eq!(base_report.outcomes, report.outcomes);
     assert_eq!(base.dict.len(), sharded.dict.len());
@@ -158,15 +176,17 @@ fn empty_and_singleton_shards_are_no_ops() {
 #[test]
 fn budget_degrades_predictably_at_scale() {
     let cfg = corpus_cfg(200);
-    let shards = generate_sharded(&cfg);
+    let shards = generate_sharded(&cfg, Serial);
     let opts = ModelOptions::default();
     // Probe the unbudgeted cost, then halve it.
-    let (_, free_report) = FormPageCorpus::from_shards(shards.clone(), &opts, &IngestLimits::new());
+    let (_, free_report) =
+        FormPageCorpus::from_shards(shards.clone(), &opts, &IngestLimits::new(), Serial, NO_OBS);
     assert_eq!(free_report.quarantined(), 0, "unbudgeted run must keep all");
     let budget = {
         // Cost of the kept corpus: recompute from a zero-budget probe.
         let probe_limits = IngestLimits::new().with_max_corpus_bytes(0);
-        let (_, probe) = FormPageCorpus::from_shards(shards.clone(), &opts, &probe_limits);
+        let (_, probe) =
+            FormPageCorpus::from_shards(shards.clone(), &opts, &probe_limits, Serial, NO_OBS);
         let total: usize = probe
             .outcomes
             .iter()
@@ -182,7 +202,8 @@ fn budget_degrades_predictably_at_scale() {
         total / 2
     };
     let limits = IngestLimits::new().with_max_corpus_bytes(budget);
-    let (squeezed, squeezed_report) = FormPageCorpus::from_shards(shards.clone(), &opts, &limits);
+    let (squeezed, squeezed_report) =
+        FormPageCorpus::from_shards(shards.clone(), &opts, &limits, Serial, NO_OBS);
     assert!(
         squeezed_report.quarantined() > 0,
         "half the byte budget must quarantine pages"
@@ -199,11 +220,12 @@ fn budget_degrades_predictably_at_scale() {
         "kept {kept_bytes} bytes against budget {budget}"
     );
     // Same decisions under a parallel policy and a different shard size.
-    let (_, par_report) = FormPageCorpus::from_shards_exec(
+    let (_, par_report) = FormPageCorpus::from_shards(
         shards,
         &opts,
         &limits.with_shard_pages(7),
         ExecPolicy::Parallel { threads: 3 },
+        NO_OBS,
     );
     assert_eq!(squeezed_report.outcomes, par_report.outcomes);
 }

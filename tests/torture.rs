@@ -4,8 +4,11 @@
 //! panic-freedom across every mutation kind are all checked here, at the
 //! same integration level the `cafc torture` subcommand operates at.
 
-use cafc::{FormPageCorpus, IngestLimits, ModelOptions, PageOutcome};
+use cafc::ExecPolicy::Serial;
+use cafc::{FormPageCorpus, IngestLimits, ModelOptions, Obs, PageOutcome};
 use cafc_corpus::{generate, mutate_page, page_rng, CorpusConfig, Mutation};
+
+const NO_OBS: &Obs = &Obs::disabled();
 
 /// The clean HTML of every form page in a small synthetic web.
 fn clean_pages(corpus_seed: u64) -> Vec<String> {
@@ -54,6 +57,8 @@ fn ingest_accounting_invariant_holds_under_torture() {
             mutated.iter().map(String::as_str),
             &ModelOptions::default(),
             &IngestLimits::default(),
+            Serial,
+            NO_OBS,
         );
         assert_eq!(report.total(), pages.len());
         assert_eq!(
@@ -85,6 +90,8 @@ fn every_single_mutation_ingests_without_panic() {
             mutated.iter().map(String::as_str),
             &ModelOptions::default(),
             &IngestLimits::default(),
+            Serial,
+            NO_OBS,
         );
         assert!(report.is_accounted(), "{}", mutation.label());
     }
@@ -97,6 +104,8 @@ fn clean_corpus_ingests_mostly_ok() {
         pages.iter().map(String::as_str),
         &ModelOptions::default(),
         &IngestLimits::default(),
+        Serial,
+        NO_OBS,
     );
     assert_eq!(corpus.len(), pages.len(), "clean pages all survive");
     assert_eq!(report.quarantined(), 0);
@@ -119,6 +128,8 @@ fn tight_limits_quarantine_rather_than_panic() {
         pages.iter().map(String::as_str),
         &ModelOptions::default(),
         &limits,
+        Serial,
+        NO_OBS,
     );
     assert!(report.is_accounted());
     assert_eq!(corpus.len(), report.kept.len());
